@@ -9,16 +9,29 @@ count following the Fibonacci-style recurrence c_d = c_{d-1} + c_{d-2}.
 
 The prism operator I is not a letter here: it expands via
 I(Cw) = CCw + Dw, I(Dw) = D I(w), I(pt) = C(pt).
+
+CD-coordinates are read off the Bayer-Billera sparse entries of a flag
+vector (dimension sets in 0..d-2 with no two consecutive; Bayer and
+Billera, Invent. Math. 79, 1985): the word flag vectors restricted to
+them form a square matrix of determinant +1 or -1, whose integer
+inverse is computed once per degree.  The remaining entries of the flag
+vector are then checked against the solution.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotInCDSpanError
-from .flagvec import FlagVector, d_flag, dim_subsets, point_flag, pyramid_flag
-from .linalg import LinearSolver, pivot_rows
+from .flagvec import (
+    FlagVector,
+    d_flag,
+    dim_subsets,
+    linear_combine,
+    point_flag,
+    pyramid_flag,
+)
+from .linalg import LinearSolver
 
 
 def check_word(w: str):
@@ -151,44 +164,50 @@ def eliminate_I(letters: str) -> CDVector:
 
 def cd_flag(v: CDVector) -> FlagVector:
     """Flag vector of a CD combination."""
-    acc = FlagVector(v.degree, {})
-    for w, c in v.coeffs.items():
-        acc = acc + word_flag(w).scaled(c)
-    return acc
+    if v.is_zero():
+        return FlagVector(v.degree, {})
+    return linear_combine((c, word_flag(w)) for w, c in v.coeffs.items())
 
 
-def basis_matrix(d: int) -> list[list[int]]:
-    """Rows: flag vectors of the degree-d words; columns: dimension sets."""
-    cols = dim_subsets(d)
+def sparse_sets(d: int) -> list[tuple[int, ...]]:
+    """The Bayer-Billera sparse sets: subsets of 0..d-2, no two consecutive.
+
+    There is one per degree-d word, and the word flag vectors restricted
+    to these entries form a unimodular matrix.
+    """
+    return [
+        S
+        for S in dim_subsets(d)
+        if (not S or S[-1] <= d - 2) and all(b - a > 1 for a, b in zip(S, S[1:]))
+    ]
+
+
+def basis_matrix(d: int, cols=None) -> list[list[int]]:
+    """Rows: flag vectors of the degree-d words; columns: dimension sets.
+
+    The columns are all dimension sets unless `cols` names a subset.
+    """
+    if cols is None:
+        cols = dim_subsets(d)
     return [[word_flag(w).get(S) for S in cols] for w in cd_words(d)]
 
 
 @lru_cache(maxsize=None)
 def _basis_solver(d: int):
-    words = cd_words(d)
-    cols = dim_subsets(d)
-    flags = [word_flag(w) for w in words]
-    # rows indexed by dimension set, columns by word
-    rows = [[f.get(S) for f in flags] for S in cols]
-    chosen = pivot_rows(rows)
-    solver = LinearSolver([rows[r] for r in chosen])
-    return words, cols, rows, chosen, solver
+    cols = sparse_sets(d)
+    rows = basis_matrix(d, cols)
+    # the unknowns are the word coefficients, so solve against the transpose
+    return cols, LinearSolver([list(col) for col in zip(*rows)])
 
 
 def to_cd_basis(f: FlagVector) -> CDVector:
     """Exact CD-coordinates of a flag vector; error when none exist."""
     if f.dim < 0:
         raise ValueError("CD-coordinates need dimension >= 0")
-    words, cols, rows, chosen, solver = _basis_solver(f.dim)
-    b = [f.get(S) for S in cols]
-    x = solver.solve([b[r] for r in chosen])
-    for row, rhs in zip(rows, b):
-        if sum(c * xi for c, xi in zip(row, x) if xi) != rhs:
-            raise NotInCDSpanError(
-                f"flag vector of dim {f.dim} is not a CD combination"
-            )
-    coeffs = {}
-    for w, xi in zip(words, x):
-        if xi:
-            coeffs[w] = int(xi) if isinstance(xi, Fraction) and xi.denominator == 1 else xi
-    return CDVector(f.dim, coeffs)
+    cols, solver = _basis_solver(f.dim)
+    x = solver.solve([f.get(S) for S in cols])
+    v = CDVector(f.dim, dict(zip(cd_words(f.dim), x)))
+    # the sparse entries fix the coordinates; every other entry must agree
+    if cd_flag(v) != f:
+        raise NotInCDSpanError(f"flag vector of dim {f.dim} is not a CD combination")
+    return v

@@ -16,10 +16,10 @@ import argparse
 import json
 import sys
 
-from .cdwords import cd_words, to_cd_basis, word_flag
+from .cdwords import basis_matrix, cd_words, to_cd_basis, word_flag, word_vector
 from .errors import ExprParseError, FaceCountLimitError, NotInCDSpanError
 from .flagvec import dim_subsets
-from .hvector import h_of_cdvector, h_of_word, toric_h_of_word, toric_of_cdvector
+from .hvector import h_of_cdvector, toric_of_cdvector
 from .lattice import (
     DEFAULT_FACE_CAP,
     Expr,
@@ -59,31 +59,17 @@ def _parse_input(text: str) -> Expr:
     bound = face_count_bound(expr)
     if bound > DEFAULT_FACE_CAP:
         raise FaceCountLimitError(
-            f"{text!r} needs about {bound} faces, over the cap of {DEFAULT_FACE_CAP}"
+            f"{text!r} needs more than {DEFAULT_FACE_CAP} faces, over the cap"
         )
     return expr
 
 
-def full_record(input_str: str, expr: Expr) -> dict:
-    flag = eval_flag(expr)
-    cd = to_cd_basis(flag)
+def full_record(input_str: str, flag, cd) -> dict:
+    """The JSON record of one input, from its flag vector and CD-coordinates."""
     h = h_of_cdvector(cd)
     toric = toric_of_cdvector(cd)
     return {
         "input": input_str,
-        "dim": flag.dim,
-        "flag": [[list(S), flag.get(S)] for S in dim_subsets(flag.dim)],
-        "h": [[str(key), list(poly.coeffs)] for key, poly in h.items()],
-        "toric": list(toric.coeffs),
-    }
-
-
-def word_record(w: str) -> dict:
-    flag = word_flag(w)
-    h = h_of_word(w)
-    toric = toric_h_of_word(w)
-    return {
-        "input": f"{w}(pt)" if w else "pt",
         "dim": flag.dim,
         "flag": [[list(S), flag.get(S)] for S in dim_subsets(flag.dim)],
         "h": [[str(key), list(poly.coeffs)] for key, poly in h.items()],
@@ -114,7 +100,8 @@ def _print_toric_text(expr: Expr, out):
 def cmd_single(args, printer) -> int:
     expr = _parse_input(args.input)
     if args.format == "json":
-        sys.stdout.write(_dump(full_record(args.input, expr)) + "\n")
+        flag = eval_flag(expr)
+        sys.stdout.write(_dump(full_record(args.input, flag, to_cd_basis(flag))) + "\n")
     else:
         printer(expr, sys.stdout)
     return EXIT_OK
@@ -124,7 +111,8 @@ def cmd_table(args) -> int:
     out = sys.stdout
     for degree in range(args.max_dim + 1):
         for w in cd_words(degree):
-            record = word_record(w)
+            name = f"{w}(pt)" if w else "pt"
+            record = full_record(name, word_flag(w), word_vector(w))
             if args.format == "json":
                 out.write(_dump(record) + "\n")
             else:
@@ -151,7 +139,7 @@ def cmd_basis(args) -> int:
     d = args.degree
     words = cd_words(d)
     cols = dim_subsets(d)
-    matrix = [[word_flag(w).get(S) for S in cols] for w in words]
+    matrix = basis_matrix(d)
     if args.format == "json":
         payload = {
             "degree": d,

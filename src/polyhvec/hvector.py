@@ -24,12 +24,11 @@ coordinate basis is unimodular.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .cdwords import CDVector, cd_words, check_word, to_cd_basis, word_flag
+from .cdwords import CDVector, cd_flag, cd_words, check_word, to_cd_basis
 from .errors import NotPalindromicError
-from .flagvec import FlagVector, linear_combine
+from .flagvec import FlagVector
 from .hpoly import (
     EMPTY_KEY,
     HPoly,
@@ -265,10 +264,8 @@ def h_matrix(d: int) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def _h_solver(d: int) -> LinearSolver:
-    rows = h_matrix(d)
-    n = len(rows)
-    transpose = [[rows[r][c] for r in range(n)] for c in range(n)]
-    return LinearSolver(transpose)
+    # the unknowns are the word coefficients, so solve against the transpose
+    return LinearSolver([list(col) for col in zip(*h_matrix(d))])
 
 
 def flag_from_h(kp: KeyedPoly) -> FlagVector:
@@ -277,11 +274,4 @@ def flag_from_h(kp: KeyedPoly) -> FlagVector:
         raise ValueError("flag recovery needs dimension >= 0")
     vec = h_coordinates(kp)  # rejects non-palindromic and ill-keyed input
     x = _h_solver(kp.dim).solve(vec)
-    terms = []
-    for w, xi in zip(cd_words(kp.dim), x):
-        if xi:
-            coeff = int(xi) if isinstance(xi, Fraction) and xi.denominator == 1 else xi
-            terms.append((coeff, word_flag(w)))
-    if not terms:
-        return FlagVector(kp.dim, {})
-    return linear_combine(terms)
+    return cd_flag(CDVector(kp.dim, dict(zip(cd_words(kp.dim), x))))

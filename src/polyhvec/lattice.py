@@ -10,11 +10,10 @@ plus the shorthand word application ``CIC(pt)`` == ``C(I(C(pt)))``; a
 word may also contain D, in which case the expression only denotes a
 (possibly virtual) flag vector, not a buildable polytope.
 
-Faces are canonical construction-trace labels; only the combinatorics
-matter.  Lattices are immutable after build and chain counting is exact
-integer dynamic programming over the containment order; these chain
-counts are the oracle that the flag-level pyramid/prism formulas are
-tested against.
+Faces are integer indices; only the combinatorics matter.  Lattices
+are immutable after build and chain counting is exact integer dynamic
+programming over the containment order; these chain counts are the
+oracle that the flag-level pyramid/prism formulas are tested against.
 """
 
 from __future__ import annotations
@@ -36,6 +35,8 @@ from .flagvec import (
 )
 
 DEFAULT_FACE_CAP = 10**6
+# far above any size under the face cap, far below int()'s digit limit
+MAX_NUMBER_DIGITS = 9
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +188,10 @@ class _Parser:
     def number_arg(self) -> int:
         self.next("punct", "(")
         tok = self.next("num")
+        if len(tok[1]) > MAX_NUMBER_DIGITS:
+            raise ExprParseError(
+                f"number has more than {MAX_NUMBER_DIGITS} digits", pos=tok[2]
+            )
         self.next("punct", ")")
         return int(tok[1])
 
@@ -248,64 +253,57 @@ def is_buildable(e: Expr) -> bool:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def face_count(e: Expr) -> int:
-    """Predicted number of faces (including the empty face and the body)."""
-    if isinstance(e, Pt):
-        return 2
-    if isinstance(e, Cone):
-        return 2 * face_count(e.body)
-    if isinstance(e, (Prism, Bipyr)):
-        return 3 * (face_count(e.body) - 1) + 1
-    if isinstance(e, Dual):
-        return face_count(e.body)
-    if isinstance(e, Prod):
-        return (face_count(e.left) - 1) * (face_count(e.right) - 1) + 1
-    if isinstance(e, Simplex):
-        return 2 ** (e.n + 1)
-    if isinstance(e, (Cube, Crosspoly)):
-        return 3**e.n + 1
-    if isinstance(e, Word):
-        if "D" in e.letters:
-            raise ValueError("words containing D denote no polytope lattice")
-        n = face_count(e.body)
-        for ch in reversed(e.letters):
-            n = 2 * n if ch == "C" else 3 * (n - 1) + 1
-        return n
-    raise TypeError(f"not an expression: {e!r}")
+def face_count(e: Expr, cap: int | None = None) -> int:
+    """Number of faces, including the empty face and the body.
+
+    With a cap, a count above it comes back as cap + 1.
+    """
+    if not is_buildable(e):
+        raise ValueError("words containing D denote no polytope lattice")
+    return face_count_bound(e, cap)
 
 
-def face_count_bound(e: Expr) -> int:
+# faces after one letter, from the faces before it; a D letter is bounded
+# by its prism-of-cone branch
+_FACE_STEP = {
+    "C": lambda n: 2 * n,
+    "I": lambda n: 3 * (n - 1) + 1,
+    "D": lambda n: 3 * (2 * n - 1) + 1,
+}
+
+
+def face_count_bound(e: Expr, cap: int | None = DEFAULT_FACE_CAP) -> int:
     """Upper bound on the work an expression needs, in face-count units.
 
-    Same arithmetic as face_count, except a D letter is bounded by its
-    prism-of-cone branch, so virtual words are covered too.  Used by the
-    CLI to apply the face cap uniformly before evaluating anything.
+    Exact for buildable expressions; virtual words are covered through
+    the D bound.  Every step is monotone, so the count saturates: a
+    count above `cap` comes back as cap + 1, without computing it.  Used
+    by the CLI to apply the face cap uniformly before evaluating anything.
     """
-    if isinstance(e, Word) and "D" in e.letters:
-        n = face_count_bound(e.body)
-        for ch in reversed(e.letters):
-            if ch == "C":
-                n = 2 * n
-            elif ch == "I":
-                n = 3 * (n - 1) + 1
-            else:
-                n = 3 * (2 * n - 1) + 1
-        return n
-    if isinstance(e, (Cone, Prism, Bipyr, Dual)):
-        inner = face_count_bound(e.body)
-        if isinstance(e, Cone):
-            return 2 * inner
-        if isinstance(e, Dual):
-            return inner
-        return 3 * (inner - 1) + 1
-    if isinstance(e, Prod):
-        return (face_count_bound(e.left) - 1) * (face_count_bound(e.right) - 1) + 1
-    if isinstance(e, Word):
-        n = face_count_bound(e.body)
-        for ch in reversed(e.letters):
-            n = 2 * n if ch == "C" else 3 * (n - 1) + 1
-        return n
-    return face_count(e)
+    if isinstance(e, Pt):
+        n = 2
+    elif isinstance(e, (Simplex, Cube, Crosspoly)):
+        if cap is not None and e.n >= cap.bit_length():
+            return cap + 1  # the count is at least 2**n > cap
+        n = 2 ** (e.n + 1) if isinstance(e, Simplex) else 3**e.n + 1
+    elif isinstance(e, Prod):
+        left = face_count_bound(e.left, cap)
+        n = (left - 1) * (face_count_bound(e.right, cap) - 1) + 1
+    elif isinstance(e, Dual):
+        n = face_count_bound(e.body, cap)
+    elif isinstance(e, (Cone, Prism, Bipyr, Word)):
+        n = face_count_bound(e.body, cap)
+        if isinstance(e, Word):
+            letters = e.letters
+        else:
+            letters = "C" if isinstance(e, Cone) else "I"
+        for ch in reversed(letters):
+            n = _FACE_STEP[ch](n)
+            if cap is not None and n > cap:
+                return cap + 1
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    return n if cap is None else min(n, cap + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +313,11 @@ def face_count_bound(e: Expr) -> int:
 class FaceLattice:
     """Hasse diagram of a polytope, graded from the empty face to the body."""
 
-    __slots__ = ("dims", "covers_up", "labels", "bottom", "top", "_cache")
+    __slots__ = ("dims", "covers_up", "bottom", "top", "_cache")
 
-    def __init__(self, dims, covers_up, labels, bottom, top):
+    def __init__(self, dims, covers_up, bottom, top):
         self.dims = tuple(dims)
         self.covers_up = tuple(tuple(c) for c in covers_up)
-        self.labels = tuple(labels)
         self.bottom = bottom
         self.top = top
         self._cache = {}
@@ -375,26 +372,24 @@ class FaceLattice:
             for hi in ups:
                 if self.dims[hi] != self.dims[lo] + 1:
                     raise ValueError(
-                        f"cover {self.labels[lo]} < {self.labels[hi]} skips a rank"
+                        f"cover of face {lo} by face {hi} skips a rank"
                     )
 
 
 def _point_lattice() -> FaceLattice:
-    return FaceLattice([-1, 0], [(1,), ()], ["o", "p"], 0, 1)
+    return FaceLattice([-1, 0], [(1,), ()], 0, 1)
 
 
 def _cone_lattice(L: FaceLattice) -> FaceLattice:
-    # labels rewrite on every step (base b<trace>, join j<trace>) so a
-    # face's label is its full construction trace, unique by induction
+    # faces 0..n-1 are the base faces, n + i is the join of face i with the apex
     n = len(L)
     dims = list(L.dims) + [d + 1 for d in L.dims]
-    labels = [f"b{lab}" for lab in L.labels] + [f"j{lab}" for lab in L.labels]
     covers = [list(c) for c in L.covers_up]
     for i in range(n):
         covers[i].append(n + i)  # every face is covered by its own join
     for i, ups in enumerate(L.covers_up):
         covers.append([n + j for j in ups])
-    return FaceLattice(dims, covers, labels, L.bottom, n + L.top)
+    return FaceLattice(dims, covers, L.bottom, n + L.top)
 
 
 def _product_lattice(A: FaceLattice, B: FaceLattice) -> FaceLattice:
@@ -403,12 +398,10 @@ def _product_lattice(A: FaceLattice, B: FaceLattice) -> FaceLattice:
     b_faces = [j for j in range(len(B)) if B.dims[j] >= 0]
     index = {}
     dims = [-1]
-    labels = ["o"]
     for i in a_faces:
         for j in b_faces:
             index[(i, j)] = len(dims)
             dims.append(A.dims[i] + B.dims[j])
-            labels.append(f"({A.labels[i]}*{B.labels[j]})")
     covers = [[] for _ in dims]
     for (i, j), me in index.items():
         if dims[me] == 0:
@@ -417,15 +410,14 @@ def _product_lattice(A: FaceLattice, B: FaceLattice) -> FaceLattice:
             covers[me].append(index[(i2, j)])
         for j2 in B.covers_up[j]:
             covers[me].append(index[(i, j2)])
-    return FaceLattice(dims, covers, labels, 0, index[(A.top, B.top)])
+    return FaceLattice(dims, covers, 0, index[(A.top, B.top)])
 
 
 def _dual_lattice(L: FaceLattice) -> FaceLattice:
     d = L.dim
     dims = [d - 1 - k for k in L.dims]
     covers = [list(c) for c in L.covers_down()]
-    labels = [f"d{lab}" for lab in L.labels]
-    return FaceLattice(dims, covers, labels, L.top, L.bottom)
+    return FaceLattice(dims, covers, L.top, L.bottom)
 
 
 def _segment_lattice() -> FaceLattice:
@@ -473,10 +465,9 @@ def _build(e: Expr) -> FaceLattice:
 
 @lru_cache(maxsize=None)
 def build_lattice(e: Expr, max_faces: int = DEFAULT_FACE_CAP) -> FaceLattice:
-    predicted = face_count(e)  # also rejects D-words
-    if predicted > max_faces:
+    if face_count(e, max_faces) > max_faces:  # also rejects D-words
         raise FaceCountLimitError(
-            f"{expr_str(e)} has {predicted} faces, over the cap of {max_faces}"
+            f"{expr_str(e)} has more than {max_faces} faces, over the cap"
         )
     return _build(e)
 
@@ -560,11 +551,10 @@ def interval_lattice(L: FaceLattice, lo: int, hi: int) -> FaceLattice:
     members.sort(key=lambda c: L.dims[c])
     index = {c: i for i, c in enumerate(members)}
     dims = [L.dims[c] - base - 1 for c in members]
-    labels = [L.labels[c] for c in members]
     covers = [
         [index[u] for u in L.covers_up[c] if u in index] for c in members
     ]
-    return FaceLattice(dims, covers, labels, index[lo], index[hi])
+    return FaceLattice(dims, covers, index[lo], index[hi])
 
 
 def link_flag(L: FaceLattice, face: int) -> FlagVector:

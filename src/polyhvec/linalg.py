@@ -1,16 +1,17 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 Everything here works on small dense matrices given as lists of rows.
-Determinants use Bareiss fraction-free elimination (integer-exact);
+Determinants use Bareiss elimination, whose divisions are all exact;
 rank and pivot selection use integer cross-elimination with gcd
-reduction; linear systems are solved over fractions.Fraction.  No
-floating point anywhere.
+reduction; linear systems against a unimodular matrix are solved
+through its integer inverse, computed by Bareiss-style Gauss-Jordan
+elimination.  Every intermediate value is an integer, and no floating
+point appears anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def mat_det(rows) -> int:
@@ -104,60 +105,41 @@ def pivot_rows(rows) -> list[int]:
 
 
 class LinearSolver:
-    """Exact solves against a fixed nonsingular square matrix.
+    """Exact solves against a fixed unimodular square matrix.
 
-    The constructor performs one LU factorization over Fraction; each
-    solve is then quadratic.
+    The constructor computes the integer inverse once, by Gauss-Jordan
+    elimination of [A | I] with Bareiss's exact divisions; it raises ValueError
+    unless the matrix is square with determinant +1 or -1.  Each solve is
+    then one integer matrix-vector product.
     """
 
     def __init__(self, rows):
-        lu = [[Fraction(v) for v in row] for row in rows]
-        n = len(lu)
-        if any(len(r) != n for r in lu):
+        n = len(rows)
+        if any(len(r) != n for r in rows):
             raise ValueError("solver needs a square matrix")
-        perm = list(range(n))
+        work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+        prev = 1
         for k in range(n):
-            pivot = next((i for i in range(k, n) if lu[i][k] != 0), None)
+            pivot = next((i for i in range(k, n) if work[i][k]), None)
             if pivot is None:
                 raise ValueError("matrix is singular")
-            if pivot != k:
-                lu[k], lu[pivot] = lu[pivot], lu[k]
-                perm[k], perm[pivot] = perm[pivot], perm[k]
-            inv = 1 / lu[k][k]
-            for i in range(k + 1, n):
-                if lu[i][k] == 0:
-                    continue
-                m = lu[i][k] * inv
-                lu[i][k] = m
-                row_i = lu[i]
-                row_k = lu[k]
-                for j in range(k + 1, n):
-                    if row_k[j]:
-                        row_i[j] -= m * row_k[j]
-        self._lu = lu
-        self._perm = perm
-        self._n = n
+            work[k], work[pivot] = work[pivot], work[k]
+            prow = work[k]
+            p = prow[k]
+            for i in range(n):
+                if i != k:
+                    row = work[i]
+                    c = row[k]
+                    # exact division: every entry is a minor of [A | I]
+                    work[i] = [(p * a - c * b) // prev for a, b in zip(row, prow)]
+            prev = p
+        # prev is now +-det; the left half is prev * I, the right prev * inverse
+        if n and abs(prev) != 1:
+            raise ValueError(f"matrix is not unimodular: |det| = {abs(prev)}")
+        self._inverse = [[prev * v for v in row[n:]] for row in work]
 
-    def solve(self, b) -> list[Fraction]:
+    def solve(self, b) -> list[int]:
         b = list(b)
-        if len(b) != self._n:
+        if len(b) != len(self._inverse):
             raise ValueError("right-hand side has wrong length")
-        n = self._n
-        lu = self._lu
-        y = [Fraction(b[self._perm[i]]) for i in range(n)]
-        for i in range(1, n):
-            row = lu[i]
-            acc = y[i]
-            for j in range(i):
-                if row[j]:
-                    acc -= row[j] * y[j]
-            y[i] = acc
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            row = lu[i]
-            acc = y[i]
-            for j in range(i + 1, n):
-                if row[j]:
-                    acc -= row[j] * x[j]
-            x[i] = acc / row[i]
-        return x
+        return [sum(a * v for a, v in zip(row, b) if a) for row in self._inverse]

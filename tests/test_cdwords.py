@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyhvec import (
     CDVector,
@@ -18,6 +20,8 @@ from polyhvec import (
     word_flag,
     word_vector,
 )
+from polyhvec.cdwords import _basis_solver, sparse_sets
+from polyhvec.hvector import flag_from_h, h_of_cdvector
 from polyhvec.lattice import Bipyr, Simplex, parse_expr
 from polyhvec.linalg import LinearSolver, mat_det, mat_rank, pivot_rows
 
@@ -114,5 +118,32 @@ def test_exact_linalg_helpers():
         pivot_rows([[1, 1], [2, 2]])
     solver = LinearSolver([[2, 1], [1, 1]])
     assert solver.solve([3, 2]) == [1, 1]
+    assert solver.solve([1, 0]) == [1, -1]
     with pytest.raises(ValueError):
         LinearSolver([[1, 1], [1, 1]])
+    with pytest.raises(ValueError):  # invertible, but not over the integers
+        LinearSolver([[2, 0], [0, 1]])
+
+
+def test_sparse_sets_give_unimodular_rows():
+    assert sparse_sets(4) == [(), (0,), (1,), (2,), (0, 2)]
+    for d in range(11):
+        cols, _ = _basis_solver(d)  # raises unless the submatrix has det +-1
+        assert cols == sparse_sets(d)
+        assert len(cols) == len(cd_words(d))
+
+
+@st.composite
+def cd_vectors(draw):
+    d = draw(st.integers(0, 7))
+    n = len(cd_words(d))
+    coeffs = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+    return CDVector(d, dict(zip(cd_words(d), coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cd_vectors())
+def test_change_of_basis_round_trips(v):
+    f = cd_flag(v)
+    assert to_cd_basis(f) == v
+    assert flag_from_h(h_of_cdvector(v)) == f

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +148,42 @@ def test_resource_exit_code(capsys):
     code, _, err = run_cli(capsys, "flag", "cube(20)")
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cube(10000)",
+        "simplex(20000)",
+        "C" * 20000 + "(pt)",
+        "cube(" + "9" * 5000 + ")",
+        "cube(100000000)",
+        "prod(cube(100000000),cube(100000000))",
+    ],
+    ids=["cube", "simplex", "long-word", "long-number", "slow-cube", "prod"],
+)
+def test_huge_arguments_fail_fast(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "flag", text)
+    assert time.perf_counter() - start < 1
+    assert code in (2, 3)
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_tracer_still_binds_the_package():
+    # the benchmark's tracer wraps package functions by name at import
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracecli.py"), "hvec", "cube(4)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("PERFBENCH-TRACE")
 
 
 def test_span_exit_code(capsys, monkeypatch):
