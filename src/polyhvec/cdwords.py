@@ -13,9 +13,13 @@ I(Cw) = CCw + Dw, I(Dw) = D I(w), I(pt) = C(pt).
 CD-coordinates are read off the Bayer-Billera sparse entries of a flag
 vector (dimension sets in 0..d-2 with no two consecutive; Bayer and
 Billera, Invent. Math. 79, 1985): the word flag vectors restricted to
-them form a square matrix of determinant +1 or -1, whose integer
-inverse is computed once per degree.  The remaining entries of the flag
-vector are then checked against the solution.
+them form a square integer matrix, whose integer inverse is computed
+once per degree.  That its determinant is +1 or -1 is checked by
+computation for every d <= 12, not proved here; `LinearSolver` checks
+it again at every degree it is built for, so a degree where it failed
+would raise ValueError instead of giving wrong coordinates.  The
+remaining entries of the flag vector are then checked against the
+solution.
 """
 
 from __future__ import annotations
@@ -172,8 +176,8 @@ def cd_flag(v: CDVector) -> FlagVector:
 def sparse_sets(d: int) -> list[tuple[int, ...]]:
     """The Bayer-Billera sparse sets: subsets of 0..d-2, no two consecutive.
 
-    There is one per degree-d word, and the word flag vectors restricted
-    to these entries form a unimodular matrix.
+    There is one per degree-d word; the word flag vectors restricted to
+    these entries form a unimodular matrix for every d <= 12 (checked).
     """
     return [
         S

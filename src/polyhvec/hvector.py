@@ -19,7 +19,9 @@ this module also implements independently as a cross-check.
 Values extend to arbitrary polytopes linearly through CD-coordinates of
 the flag vector, and the flag vector can be recovered exactly because
 the matrix of h-values of degree-d words against the angle/key
-coordinate basis is unimodular.
+coordinate basis is unimodular.  That is checked by computation for
+every d <= 12, and `LinearSolver` checks it again at every degree it is
+built for.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def h_coordinates(kp: KeyedPoly) -> list:
 
 
 def h_matrix(d: int) -> list[list[int]]:
-    """h-coordinates of every degree-d word; square and unimodular."""
+    """h-coordinates of every degree-d word; square, unimodular for d <= 12."""
     words = cd_words(d)
     rows = [h_coordinates(h_of_word(w)) for w in words]
     assert all(len(r) == len(words) for r in rows), "coordinate count != word count"

@@ -253,10 +253,10 @@ def is_buildable(e: Expr) -> bool:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def face_count(e: Expr, cap: int | None = None) -> int:
+def face_count(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
     """Number of faces, including the empty face and the body.
 
-    With a cap, a count above it comes back as cap + 1.
+    A count above `cap` comes back as cap + 1.
     """
     if not is_buildable(e):
         raise ValueError("words containing D denote no polytope lattice")
@@ -272,7 +272,7 @@ _FACE_STEP = {
 }
 
 
-def face_count_bound(e: Expr, cap: int | None = DEFAULT_FACE_CAP) -> int:
+def face_count_bound(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
     """Upper bound on the work an expression needs, in face-count units.
 
     Exact for buildable expressions; virtual words are covered through
@@ -283,7 +283,7 @@ def face_count_bound(e: Expr, cap: int | None = DEFAULT_FACE_CAP) -> int:
     if isinstance(e, Pt):
         n = 2
     elif isinstance(e, (Simplex, Cube, Crosspoly)):
-        if cap is not None and e.n >= cap.bit_length():
+        if e.n >= cap.bit_length():
             return cap + 1  # the count is at least 2**n > cap
         n = 2 ** (e.n + 1) if isinstance(e, Simplex) else 3**e.n + 1
     elif isinstance(e, Prod):
@@ -299,11 +299,11 @@ def face_count_bound(e: Expr, cap: int | None = DEFAULT_FACE_CAP) -> int:
             letters = "C" if isinstance(e, Cone) else "I"
         for ch in reversed(letters):
             n = _FACE_STEP[ch](n)
-            if cap is not None and n > cap:
+            if n > cap:
                 return cap + 1
     else:
         raise TypeError(f"not an expression: {e!r}")
-    return n if cap is None else min(n, cap + 1)
+    return min(n, cap + 1)
 
 
 # ---------------------------------------------------------------------------
