@@ -26,7 +26,6 @@ from .flagvec import (
     dim_subsets,
     dual_flag,
     empty_flag,
-    extended_get,
     linear_combine,
     point_flag,
     prism_flag,

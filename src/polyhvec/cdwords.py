@@ -15,18 +15,18 @@ vector (dimension sets in 0..d-2 with no two consecutive; Bayer and
 Billera, Invent. Math. 79, 1985): the word flag vectors restricted to
 them form a square integer matrix, whose integer inverse is computed
 once per degree.  That its determinant is +1 or -1 is checked by
-computation for every d <= 12, not proved here; `LinearSolver` checks
-it again at every degree it is built for, so a degree where it failed
-would raise ValueError instead of giving wrong coordinates.  The
-remaining entries of the flag vector are then checked against the
-solution.
+computation for every d <= 12 = MAX_BASIS_DEGREE, not proved here.  The
+cap is a resource cap: the cost of building the degree-d word flag
+vectors about quadruples per degree.  `LinearSolver` checks the
+determinant again at every degree, and the remaining entries of the
+flag vector are checked against the solution.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NotInCDSpanError
+from .errors import FaceCountLimitError, NotInCDSpanError
 from .flagvec import (
     FlagVector,
     d_flag,
@@ -36,6 +36,16 @@ from .flagvec import (
     pyramid_flag,
 )
 from .linalg import LinearSolver
+
+MAX_BASIS_DEGREE = 12
+
+
+def check_basis_degree(d: int):
+    """Refuse a change of basis above MAX_BASIS_DEGREE, before any work."""
+    if d > MAX_BASIS_DEGREE:
+        raise FaceCountLimitError(
+            f"degree {d} is over the change-of-basis limit {MAX_BASIS_DEGREE}"
+        )
 
 
 def check_word(w: str):
@@ -198,6 +208,7 @@ def basis_matrix(d: int, cols=None) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def _basis_solver(d: int):
+    check_basis_degree(d)
     cols = sparse_sets(d)
     rows = basis_matrix(d, cols)
     # the unknowns are the word coefficients, so solve against the transpose

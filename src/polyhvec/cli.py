@@ -7,7 +7,7 @@ line with the fixed field order input/dim/flag/h/toric; all numbers are
 exact integers.
 
 Exit codes: 0 ok, 1 verify failure, 2 parse/usage error, 3 face-count
-cap exceeded, 4 input outside the CD span.
+cap or change-of-basis degree limit exceeded, 4 input outside the CD span.
 """
 
 from __future__ import annotations
@@ -16,17 +16,22 @@ import argparse
 import json
 import sys
 
-from .cdwords import basis_matrix, cd_words, to_cd_basis, word_flag, word_vector
+from .cdwords import (
+    basis_matrix,
+    cd_words,
+    check_basis_degree,
+    to_cd_basis,
+    word_flag,
+    word_vector,
+)
 from .errors import ExprParseError, FaceCountLimitError, NotInCDSpanError
 from .flagvec import dim_subsets
 from .hvector import h_of_cdvector, toric_of_cdvector
 from .lattice import (
     DEFAULT_FACE_CAP,
-    Expr,
-    Prod,
     eval_flag,
+    expr_dim,
     face_count_bound,
-    is_buildable,
     parse_expr,
 )
 from .verify import run_all
@@ -40,28 +45,6 @@ EXIT_SPAN = 4
 
 def format_dimset(S) -> str:
     return "{" + ",".join(map(str, S)) + "}"
-
-
-def _check_products(e: Expr):
-    if isinstance(e, Prod):
-        if not is_buildable(e):
-            raise ExprParseError("prod arguments must be buildable (no D operator)")
-        return
-    for name in ("body", "left", "right"):
-        child = getattr(e, name, None)
-        if child is not None:
-            _check_products(child)
-
-
-def _parse_input(text: str) -> Expr:
-    expr = parse_expr(text)
-    _check_products(expr)
-    bound = face_count_bound(expr)
-    if bound > DEFAULT_FACE_CAP:
-        raise FaceCountLimitError(
-            f"{text!r} needs more than {DEFAULT_FACE_CAP} faces, over the cap"
-        )
-    return expr
 
 
 def full_record(input_str: str, flag, cd) -> dict:
@@ -81,29 +64,30 @@ def _dump(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def _print_flag_text(expr: Expr, out):
-    flag = eval_flag(expr)
-    for S in dim_subsets(flag.dim):
-        out.write(f"{format_dimset(S)}: {flag.get(S)}\n")
-
-
-def _print_hvec_text(expr: Expr, out):
-    h = h_of_cdvector(to_cd_basis(eval_flag(expr)))
-    out.write(f"{h}\n")
-
-
-def _print_toric_text(expr: Expr, out):
-    toric = toric_of_cdvector(to_cd_basis(eval_flag(expr)))
-    out.write(f"{toric.bracket()}\n")
-
-
-def cmd_single(args, printer) -> int:
-    expr = _parse_input(args.input)
-    if args.format == "json":
+def cmd_single(args) -> int:
+    """flag, hvec or toric on one input."""
+    expr = parse_expr(args.input)
+    # resource limits go before any evaluation; past the face cap the
+    # expression may be too deep to walk recursively
+    if face_count_bound(expr) > DEFAULT_FACE_CAP:
+        raise FaceCountLimitError(
+            f"{args.input!r} needs more than {DEFAULT_FACE_CAP} faces, over the cap"
+        )
+    out = sys.stdout
+    if args.command == "flag" and args.format == "text":
         flag = eval_flag(expr)
-        sys.stdout.write(_dump(full_record(args.input, flag, to_cd_basis(flag))) + "\n")
+        for S in dim_subsets(flag.dim):
+            out.write(f"{format_dimset(S)}: {flag.get(S)}\n")
+        return EXIT_OK
+    check_basis_degree(expr_dim(expr))  # the rest needs CD-coordinates
+    flag = eval_flag(expr)
+    cd = to_cd_basis(flag)
+    if args.format == "json":
+        out.write(_dump(full_record(args.input, flag, cd)) + "\n")
+    elif args.command == "hvec":
+        out.write(f"{h_of_cdvector(cd)}\n")
     else:
-        printer(expr, sys.stdout)
+        out.write(f"{toric_of_cdvector(cd).bracket()}\n")
     return EXIT_OK
 
 
@@ -188,20 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("text", "json"), default="text", help="output format"
         )
 
-    p = sub.add_parser("flag", help="flag vector of an expression or word")
-    p.add_argument("input")
-    add_format(p)
-    p.set_defaults(run=lambda a: cmd_single(a, _print_flag_text))
-
-    p = sub.add_parser("hvec", help="keyed h-vector of an expression or word")
-    p.add_argument("input")
-    add_format(p)
-    p.set_defaults(run=lambda a: cmd_single(a, _print_hvec_text))
-
-    p = sub.add_parser("toric", help="toric h-vector of an expression or word")
-    p.add_argument("input")
-    add_format(p)
-    p.set_defaults(run=lambda a: cmd_single(a, _print_toric_text))
+    for name, what in (
+        ("flag", "flag vector"),
+        ("hvec", "keyed h-vector"),
+        ("toric", "toric h-vector"),
+    ):
+        p = sub.add_parser(name, help=f"{what} of an expression or word")
+        p.add_argument("input")
+        add_format(p)
+        p.set_defaults(run=cmd_single)
 
     p = sub.add_parser("table", help="records for all CD-words up to a dimension")
     p.add_argument("--max-dim", type=_bounded_int(0, 10), default=10)

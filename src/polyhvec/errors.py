@@ -12,7 +12,7 @@ class ExprParseError(ValueError):
 
 
 class FaceCountLimitError(RuntimeError):
-    """A lattice construction would exceed the face-count cap."""
+    """Work would exceed a resource cap: face count or change-of-basis degree."""
 
 
 class NotInCDSpanError(ValueError):

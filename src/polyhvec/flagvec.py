@@ -103,10 +103,6 @@ def point_flag() -> FlagVector:
     return FlagVector(0, {(): 1})
 
 
-def extended_get(f: FlagVector, dims) -> int:
-    return f.get(dims)
-
-
 def linear_combine(terms) -> FlagVector:
     """Entrywise combination sum(c * f) of equal-dimension flag vectors."""
     terms = list(terms)

@@ -20,15 +20,22 @@ Values extend to arbitrary polytopes linearly through CD-coordinates of
 the flag vector, and the flag vector can be recovered exactly because
 the matrix of h-values of degree-d words against the angle/key
 coordinate basis is unimodular.  That is checked by computation for
-every d <= 12, and `LinearSolver` checks it again at every degree it is
-built for.
+every d <= 12 = cdwords.MAX_BASIS_DEGREE, and `LinearSolver` checks it
+again at every degree it is built for.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .cdwords import CDVector, cd_flag, cd_words, check_word, to_cd_basis
+from .cdwords import (
+    CDVector,
+    cd_flag,
+    cd_words,
+    check_basis_degree,
+    check_word,
+    to_cd_basis,
+)
 from .errors import NotPalindromicError
 from .flagvec import FlagVector
 from .hpoly import (
@@ -266,6 +273,7 @@ def h_matrix(d: int) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def _h_solver(d: int) -> LinearSolver:
+    check_basis_degree(d)
     # the unknowns are the word coefficients, so solve against the transpose
     return LinearSolver([list(col) for col in zip(*h_matrix(d))])
 

@@ -3,12 +3,13 @@
 The grammar (also the CLI input syntax) is case-sensitive and
 whitespace-insensitive::
 
-    pt | C(e) | I(e) | B(e) | dual(e) | prod(e, e)
+    pt | C(e) | I(e) | D(e) | B(e) | dual(e) | prod(e, e)
        | simplex(n) | cube(n) | crosspoly(n)
 
-plus the shorthand word application ``CIC(pt)`` == ``C(I(C(pt)))``; a
-word may also contain D, in which case the expression only denotes a
-(possibly virtual) flag vector, not a buildable polytope.
+A word over C, I and D is sugar for nested nodes, applied right to left:
+``CIC(pt)`` parses to ``C(I(C(pt)))``, the same tree.  D, the diamond,
+makes the expression denote a (possibly virtual) flag vector rather than
+a buildable polytope, so the arguments of prod must be D-free.
 
 Faces are integer indices; only the combinatorics matter.  Lattices
 are immutable after build and chain counting is exact integer dynamic
@@ -69,6 +70,11 @@ class Dual:
 
 
 @dataclass(frozen=True)
+class Diamond:
+    body: "Expr"
+
+
+@dataclass(frozen=True)
 class Prod:
     left: "Expr"
     right: "Expr"
@@ -89,17 +95,22 @@ class Crosspoly:
     n: int
 
 
-@dataclass(frozen=True)
-class Word:
-    """letters over C/I/D applied right-to-left to body."""
-
-    letters: str
-    body: "Expr"
-
-
 Expr = (
-    Pt | Cone | Prism | Bipyr | Dual | Prod | Simplex | Cube | Crosspoly | Word
+    Pt | Cone | Prism | Bipyr | Dual | Diamond | Prod | Simplex | Cube | Crosspoly
 )
+
+# every unary node: (spelling, dimension step, faces after it from the
+# faces before it); the bipyramid counts as the dual prism, and the
+# diamond IC - CC is bounded by its prism-of-cone branch
+_UNARY = {
+    Cone: ("C", 1, lambda n: 2 * n),
+    Prism: ("I", 1, lambda n: 3 * (n - 1) + 1),
+    Bipyr: ("B", 1, lambda n: 3 * (n - 1) + 1),
+    Dual: ("dual", 0, lambda n: n),
+    Diamond: ("D", 2, lambda n: 3 * (2 * n - 1) + 1),
+}
+_UNARY_BY_NAME = {spelling: node for node, (spelling, _, _) in _UNARY.items()}
+_SIZED = {"simplex": Simplex, "cube": Cube, "crosspoly": Crosspoly}
 
 _WORD_RE = re.compile(r"[CDI]+\Z")
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<num>\d+)|(?P<punct>[(),]))")
@@ -153,31 +164,31 @@ class _Parser:
         kind, name, pos = self.next("name")
         if name == "pt":
             return Pt()
-        if name == "dual":
-            return Dual(self.one_arg())
         if name == "prod":
             self.next("punct", "(")
             left = self.expr()
             self.next("punct", ",")
             right = self.expr()
             self.next("punct", ")")
+            if not (is_buildable(left) and is_buildable(right)):
+                raise ExprParseError(
+                    "prod arguments must be buildable (no D operator)", pos=pos
+                )
             return Prod(left, right)
-        if name in ("simplex", "cube", "crosspoly"):
+        if name in _SIZED:
             n = self.number_arg()
             least = 0 if name == "simplex" else 1
             if n < least:
                 raise ExprParseError(f"{name} needs n >= {least}, got {n}", pos=pos)
-            return {"simplex": Simplex, "cube": Cube, "crosspoly": Crosspoly}[name](n)
-        if name == "B":
-            return Bipyr(self.one_arg())
-        if _WORD_RE.match(name):
-            body = self.one_arg()
-            if name == "C":
-                return Cone(body)
-            if name == "I":
-                return Prism(body)
-            return Word(name, body)
-        raise ExprParseError(f"unknown constructor {name!r}", pos=pos)
+            return _SIZED[name](n)
+        # a word over C, I and D is its letters nested, applied right to left
+        spellings = name if _WORD_RE.match(name) else [name]
+        if spellings[0] not in _UNARY_BY_NAME:
+            raise ExprParseError(f"unknown constructor {name!r}", pos=pos)
+        body = self.one_arg()
+        for spelling in reversed(spellings):
+            body = _UNARY_BY_NAME[spelling](body)
+        return body
 
     def one_arg(self) -> Expr:
         self.next("punct", "(")
@@ -200,57 +211,49 @@ def parse_expr(text: str) -> Expr:
     return _Parser(text).parse()
 
 
+def _unary_chain(e: Expr):
+    """The unary nodes stacked on e, outermost first, and the node under them.
+
+    A loop, not recursion, so that a word of any length is walked at once.
+    """
+    chain = []
+    while type(e) in _UNARY:
+        chain.append(e)
+        e = e.body
+    if not isinstance(e, (Pt, Prod, Simplex, Cube, Crosspoly)):
+        raise TypeError(f"not an expression: {e!r}")
+    return chain, e
+
+
 def expr_dim(e: Expr) -> int:
-    if isinstance(e, Pt):
-        return 0
-    if isinstance(e, (Cone, Prism, Bipyr)):
-        return expr_dim(e.body) + 1
-    if isinstance(e, Dual):
-        return expr_dim(e.body)
-    if isinstance(e, Prod):
-        return expr_dim(e.left) + expr_dim(e.right)
-    if isinstance(e, (Simplex, Cube, Crosspoly)):
-        return e.n
-    if isinstance(e, Word):
-        return expr_dim(e.body) + sum(2 if ch == "D" else 1 for ch in e.letters)
-    raise TypeError(f"not an expression: {e!r}")
+    chain, base = _unary_chain(e)
+    if isinstance(base, Prod):
+        d = expr_dim(base.left) + expr_dim(base.right)
+    else:
+        d = 0 if isinstance(base, Pt) else base.n
+    return d + sum(_UNARY[type(node)][1] for node in chain)
 
 
 def expr_str(e: Expr) -> str:
-    if isinstance(e, Pt):
-        return "pt"
-    if isinstance(e, Cone):
-        return f"C({expr_str(e.body)})"
-    if isinstance(e, Prism):
-        return f"I({expr_str(e.body)})"
-    if isinstance(e, Bipyr):
-        return f"B({expr_str(e.body)})"
-    if isinstance(e, Dual):
-        return f"dual({expr_str(e.body)})"
-    if isinstance(e, Prod):
-        return f"prod({expr_str(e.left)},{expr_str(e.right)})"
-    if isinstance(e, Simplex):
-        return f"simplex({e.n})"
-    if isinstance(e, Cube):
-        return f"cube({e.n})"
-    if isinstance(e, Crosspoly):
-        return f"crosspoly({e.n})"
-    if isinstance(e, Word):
-        return f"{e.letters}({expr_str(e.body)})"
-    raise TypeError(f"not an expression: {e!r}")
+    chain, base = _unary_chain(e)
+    if isinstance(base, Pt):
+        text = "pt"
+    elif isinstance(base, Prod):
+        text = f"prod({expr_str(base.left)},{expr_str(base.right)})"
+    else:
+        text = f"{type(base).__name__.lower()}({base.n})"
+    prefix = "".join(_UNARY[type(node)][0] + "(" for node in chain)
+    return prefix + text + ")" * len(chain)
 
 
 def is_buildable(e: Expr) -> bool:
     """True when the expression denotes an actual polytope lattice (no D)."""
-    if isinstance(e, (Pt, Simplex, Cube, Crosspoly)):
-        return True
-    if isinstance(e, (Cone, Prism, Bipyr, Dual)):
-        return is_buildable(e.body)
-    if isinstance(e, Prod):
-        return is_buildable(e.left) and is_buildable(e.right)
-    if isinstance(e, Word):
-        return "D" not in e.letters and is_buildable(e.body)
-    raise TypeError(f"not an expression: {e!r}")
+    chain, base = _unary_chain(e)
+    if any(isinstance(node, Diamond) for node in chain):
+        return False
+    if isinstance(base, Prod):
+        return is_buildable(base.left) and is_buildable(base.right)
+    return True
 
 
 def face_count(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
@@ -259,50 +262,32 @@ def face_count(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
     A count above `cap` comes back as cap + 1.
     """
     if not is_buildable(e):
-        raise ValueError("words containing D denote no polytope lattice")
+        raise ValueError("expressions containing D denote no polytope lattice")
     return face_count_bound(e, cap)
-
-
-# faces after one letter, from the faces before it; a D letter is bounded
-# by its prism-of-cone branch
-_FACE_STEP = {
-    "C": lambda n: 2 * n,
-    "I": lambda n: 3 * (n - 1) + 1,
-    "D": lambda n: 3 * (2 * n - 1) + 1,
-}
 
 
 def face_count_bound(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
     """Upper bound on the work an expression needs, in face-count units.
 
-    Exact for buildable expressions; virtual words are covered through
+    Exact for buildable expressions; virtual ones are covered through
     the D bound.  Every step is monotone, so the count saturates: a
     count above `cap` comes back as cap + 1, without computing it.  Used
     by the CLI to apply the face cap uniformly before evaluating anything.
     """
-    if isinstance(e, Pt):
+    chain, base = _unary_chain(e)
+    if isinstance(base, Pt):
         n = 2
-    elif isinstance(e, (Simplex, Cube, Crosspoly)):
-        if e.n >= cap.bit_length():
-            return cap + 1  # the count is at least 2**n > cap
-        n = 2 ** (e.n + 1) if isinstance(e, Simplex) else 3**e.n + 1
-    elif isinstance(e, Prod):
-        left = face_count_bound(e.left, cap)
-        n = (left - 1) * (face_count_bound(e.right, cap) - 1) + 1
-    elif isinstance(e, Dual):
-        n = face_count_bound(e.body, cap)
-    elif isinstance(e, (Cone, Prism, Bipyr, Word)):
-        n = face_count_bound(e.body, cap)
-        if isinstance(e, Word):
-            letters = e.letters
-        else:
-            letters = "C" if isinstance(e, Cone) else "I"
-        for ch in reversed(letters):
-            n = _FACE_STEP[ch](n)
-            if n > cap:
-                return cap + 1
+    elif isinstance(base, Prod):
+        left = face_count_bound(base.left, cap)
+        n = (left - 1) * (face_count_bound(base.right, cap) - 1) + 1
+    elif base.n >= cap.bit_length():
+        return cap + 1  # the count is at least 2**n > cap
     else:
-        raise TypeError(f"not an expression: {e!r}")
+        n = 2 ** (base.n + 1) if isinstance(base, Simplex) else 3**base.n + 1
+    for node in reversed(chain):
+        n = _UNARY[type(node)][2](n)
+        if n > cap:
+            return cap + 1
     return min(n, cap + 1)
 
 
@@ -450,22 +435,12 @@ def _build(e: Expr) -> FaceLattice:
         return L
     if isinstance(e, Crosspoly):
         return _dual_lattice(_build(Cube(e.n)))
-    if isinstance(e, Word):
-        L = _build(e.body)
-        for ch in reversed(e.letters):
-            if ch == "C":
-                L = _cone_lattice(L)
-            elif ch == "I":
-                L = _product_lattice(L, _segment_lattice())
-            else:
-                raise ValueError("words containing D denote no polytope lattice")
-        return L
     raise TypeError(f"not an expression: {e!r}")
 
 
 @lru_cache(maxsize=None)
 def build_lattice(e: Expr, max_faces: int = DEFAULT_FACE_CAP) -> FaceLattice:
-    if face_count(e, max_faces) > max_faces:  # also rejects D-words
+    if face_count(e, max_faces) > max_faces:  # also rejects D
         raise FaceCountLimitError(
             f"{expr_str(e)} has more than {max_faces} faces, over the cap"
         )
@@ -619,8 +594,8 @@ def eval_flag(e: Expr) -> FlagVector:
     """Flag vector of an expression, via the linear operators.
 
     Products need real lattices and are chain-counted; everything else is
-    evaluated by the flag operators, so virtual inputs (words with D) are
-    fine anywhere except inside prod.
+    evaluated by the flag operators, so virtual inputs (with D) are fine
+    anywhere except inside prod.
     """
     if isinstance(e, Pt):
         return point_flag()
@@ -632,6 +607,8 @@ def eval_flag(e: Expr) -> FlagVector:
         return dual_flag(prism_flag(dual_flag(eval_flag(e.body))))
     if isinstance(e, Dual):
         return dual_flag(eval_flag(e.body))
+    if isinstance(e, Diamond):
+        return d_flag(eval_flag(e.body))
     if isinstance(e, Prod):
         return flag_of_lattice(e)
     if isinstance(e, Simplex):
@@ -646,16 +623,6 @@ def eval_flag(e: Expr) -> FlagVector:
         return f
     if isinstance(e, Crosspoly):
         return dual_flag(eval_flag(Cube(e.n)))
-    if isinstance(e, Word):
-        f = eval_flag(e.body)
-        for ch in reversed(e.letters):
-            if ch == "C":
-                f = pyramid_flag(f)
-            elif ch == "I":
-                f = prism_flag(f)
-            else:
-                f = d_flag(f)
-        return f
     raise TypeError(f"not an expression: {e!r}")
 
 

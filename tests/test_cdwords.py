@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from polyhvec import (
     CDVector,
+    FaceCountLimitError,
     FlagVector,
     NotInCDSpanError,
     basis_matrix,
@@ -20,7 +21,8 @@ from polyhvec import (
     word_flag,
     word_vector,
 )
-from polyhvec.cdwords import _basis_solver, sparse_sets
+from polyhvec.cdwords import MAX_BASIS_DEGREE, _basis_solver, sparse_sets
+from polyhvec.hpoly import KeyedPoly
 from polyhvec.hvector import flag_from_h, h_of_cdvector
 from polyhvec.lattice import Bipyr, Simplex, parse_expr
 from polyhvec.linalg import LinearSolver, mat_det, mat_rank, pivot_rows
@@ -131,6 +133,14 @@ def test_sparse_sets_give_unimodular_rows():
         cols, _ = _basis_solver(d)  # raises unless the submatrix has det +-1
         assert cols == sparse_sets(d)
         assert len(cols) == len(cd_words(d))
+
+
+def test_change_of_basis_refuses_degrees_over_the_cap():
+    d = MAX_BASIS_DEGREE + 1
+    with pytest.raises(FaceCountLimitError):
+        to_cd_basis(FlagVector(d, {}))
+    with pytest.raises(FaceCountLimitError):
+        flag_from_h(KeyedPoly(d, {}))
 
 
 @st.composite

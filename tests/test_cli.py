@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -136,6 +137,10 @@ def test_prod_of_virtual_is_rejected(capsys):
     code, _, err = run_cli(capsys, "flag", "prod(D(pt),pt)")
     assert code == 2
     assert "prod" in err
+    assert "position 0" in err
+    code, _, err = run_cli(capsys, "hvec", "C(prod(pt,C(CD(pt))))")
+    assert code == 2
+    assert "position 2" in err
 
 
 def test_deeply_nested_input_is_a_parse_error(capsys):
@@ -169,6 +174,82 @@ def test_huge_arguments_fail_fast(capsys, text):
     assert code in (2, 3)
     assert out == ""
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hvec", "simplex(13)"),
+        ("toric", "CDCDCDCDCD(pt)"),
+        ("flag", "simplex(18)", "--format", "json"),
+    ],
+    ids=["hvec", "toric", "json"],
+)
+def test_change_of_basis_degree_limit_fails_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "degree" in err
+
+
+# SHA-256 of stdout, pinned from the implementation before words parsed to
+# nested nodes; a refactor must leave these bytes alone
+JSON_RECORD_SHA256 = {
+    "cube(5)": "50e9d07a4ef5887da13c3a6b003f76a24652cb0939a56210f1c2c27fa25c8812",
+    "DDC(pt)": "727897fa5df02a8e66b176205537bbf8a86b3fd25deb7bedddee46deacd5e4ae",
+    "B(crosspoly(4))": (
+        "292badec9944e8181b48c742cc81186a0c72bc656a9fa9adbf0038b6b8d25f62"
+    ),
+    "dual(CIDC(pt))": (
+        "e3b795e4f02dd980c0a4719c02afc910adc013464e205851560300c9fabd9d0a"
+    ),
+    "prod(cube(2),simplex(3))": (
+        "6361089fc50bdafb60f36a16981703b7a71fe8610efa4b57a5233abfb66755c8"
+    ),
+}
+PINNED_STDOUT = [
+    (
+        ("table", "--max-dim", "6", "--format", "json"),
+        "bee017275175d223d7ac718402f347977fa1b1bc1dbb1ba713ddd17dfa6755b8",
+    ),
+    (
+        ("table", "--max-dim", "6"),
+        "dfaeb8873b0cb71defed9d0cb7fe66563c68e705e7a512bf7ac2ee90b11532a7",
+    ),
+    (
+        ("basis", "6", "--format", "json"),
+        "51c2a7a9e3e825502b7d1130e581de2d4c6ec348e51f86914296952891b51238",
+    ),
+    (
+        ("hvec", "dual(CIDC(pt))"),
+        "43fc6f1d947d14920ec1a1192b33f0740f27ec0beaa32c7cd05722e2591735b2",
+    ),
+    (
+        ("toric", "dual(CIDC(pt))"),
+        "8b99cefcef535411fc73653278e92ae1190890a119757b602e65de7013f30d54",
+    ),
+    (
+        ("flag", "dual(CIDC(pt))"),
+        "3b6b701b180993bb191ffde22a6b0e2a364000d907987c2e655967b2a00f5138",
+    ),
+] + [
+    # a JSON record is the same whichever of hvec, toric and flag asks for it
+    ((command, text, "--format", "json"), digest)
+    for text, digest in JSON_RECORD_SHA256.items()
+    for command in ("hvec", "toric", "flag")
+]
+
+
+def test_stdout_bytes_are_pinned(capsys):
+    changed = []
+    for argv, digest in PINNED_STDOUT:
+        code, out, _ = run_cli(capsys, *argv)
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(" ".join(argv))
+    assert not changed
 
 
 def test_tracer_still_binds_the_package():

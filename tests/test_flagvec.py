@@ -9,7 +9,6 @@ from polyhvec import (
     d_flag,
     dual_flag,
     empty_flag,
-    extended_get,
     linear_combine,
     point_flag,
     prism_flag,
@@ -43,7 +42,7 @@ def test_extended_get_deletes_boundary_dims():
     assert SEGMENT.get((0,)) == 2
     assert SEGMENT.get((0, 1)) == 2  # the body's dimension is ignored
     assert point_flag().get((-1,)) == 1  # the empty face is ignored
-    assert extended_get(SEGMENT, ()) == 1
+    assert SEGMENT.get(()) == 1
 
 
 def test_extended_get_rejects_out_of_range():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyhvec import (
     ExprParseError,
@@ -24,14 +26,17 @@ from polyhvec.flagvec import GradedFlagVector, c_on_graded
 from polyhvec.lattice import (
     Bipyr,
     Cone,
+    Crosspoly,
     Cube,
+    Diamond,
     Dual,
     Prism,
     Prod,
     Pt,
     Simplex,
-    Word,
     face_count,
+    flag_of_lattice,
+    is_buildable,
 )
 
 
@@ -46,10 +51,11 @@ def test_parse_basic_forms():
 
 
 def test_parse_word_shorthand():
-    assert parse_expr("CIC(pt)") == Word("CIC", Pt())
-    assert parse_expr("CD(pt)") == Word("CD", Pt())
-    # single letters C and I are the named constructors
-    assert parse_expr("D(pt)") == Word("D", Pt())
+    # a word is sugar for nested nodes, applied right to left
+    assert parse_expr("CIC(pt)") == parse_expr("C(I(C(pt)))")
+    assert parse_expr("CIC(pt)") == Cone(Prism(Cone(Pt())))
+    assert parse_expr("CD(pt)") == Cone(Diamond(Pt()))
+    assert parse_expr("D(pt)") == Diamond(Pt())
 
 
 def test_parse_is_whitespace_insensitive():
@@ -115,7 +121,7 @@ def test_face_cap_rejects_huge_builds():
     with pytest.raises(FaceCountLimitError):
         build_lattice(Cube(20))
     with pytest.raises(ValueError):
-        face_count(Word("D", Pt()))
+        face_count(Diamond(Pt()))
 
 
 def test_chain_count_examples():
@@ -194,3 +200,86 @@ def test_link_identities_small_dims():
         assert total_link_vector(build_lattice(Cone(e))) == cone_side
         prism_side = ell + c_on_graded(ell).scaled(2)
         assert total_link_vector(build_lattice(Prism(e))) == prism_side
+
+
+# ---------------------------------------------------------------------------
+# randomized oracles
+
+
+@st.composite
+def expressions(draw, dim, virtual=True, depth=0):
+    """A random expression of one dimension over every node; D only if virtual."""
+    kinds = ["simplex"]
+    if dim == 0:
+        kinds.append("pt")
+    else:
+        kinds += ["cube", "crosspoly", "C", "I", "B", "prod"]
+    if dim >= 2 and virtual:
+        kinds.append("D")
+    if depth < 3:
+        kinds.append("dual")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "pt":
+        return Pt()
+    if kind in ("simplex", "cube", "crosspoly"):
+        return {"simplex": Simplex, "cube": Cube, "crosspoly": Crosspoly}[kind](dim)
+    if kind == "dual":
+        return Dual(draw(expressions(dim, virtual, depth + 1)))
+    if kind == "prod":
+        left = draw(st.integers(0, dim))
+        return Prod(
+            draw(expressions(left, False, depth + 1)),
+            draw(expressions(dim - left, False, depth + 1)),
+        )
+    if kind == "D":
+        return Diamond(draw(expressions(dim - 2, virtual, depth + 1)))
+    node = {"C": Cone, "I": Prism, "B": Bipyr}[kind]
+    return node(draw(expressions(dim - 1, virtual, depth + 1)))
+
+
+def any_expression(virtual=True):
+    return st.integers(0, 5).flatmap(lambda d: expressions(d, virtual))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_expression())
+def test_random_expressions_round_trip(e):
+    assert parse_expr(expr_str(e)) == e
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_expression(virtual=False))
+def test_random_operator_values_match_chain_counting(e):
+    assert is_buildable(e)
+    assert eval_flag(e) == flag_of_lattice(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.text("CID", min_size=1, max_size=6), st.integers(0, 2).flatmap(expressions)
+)
+def test_word_spelling_is_its_nested_spelling(letters, body):
+    inner = expr_str(body)
+    nested = "".join(f"{letter}(" for letter in letters) + inner + ")" * len(letters)
+    assert parse_expr(f"{letters}({inner})") == parse_expr(nested)
+
+
+GRAMMAR_PIECES = [
+    "pt", "C", "I", "D", "B", "CD", "IC", "dual", "prod", "simplex", "cube",
+    "crosspoly", "(", ")", ",", " ", "0", "2", "x", "@",
+]  # fmt: skip
+EDITS = st.tuples(st.integers(0, 80), st.integers(0, 4), st.sampled_from(GRAMMAR_PIECES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_expression(), st.lists(EDITS, max_size=3))
+def test_edited_text_parses_or_fails_cleanly(e, edits):
+    # grammar text with a few pieces cut out or pasted in
+    text = expr_str(e)
+    for pos, cut, piece in edits:
+        text = text[:pos] + piece + text[pos + cut :]
+    try:
+        got = parse_expr(text)
+    except ExprParseError:
+        return
+    assert parse_expr(expr_str(got)) == got
