@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,15 @@ from polyhvec import (
     word_flag,
     word_vector,
 )
-from polyhvec.cdwords import MAX_BASIS_DEGREE, _basis_solver, sparse_sets
+from polyhvec.cdwords import (
+    MAX_BASIS_DEGREE,
+    _basis_solver,
+    cd_index,
+    cd_index_flag,
+    cd_monomials,
+    sparse_sets,
+    word_cd,
+)
 from polyhvec.hpoly import KeyedPoly
 from polyhvec.hvector import flag_from_h, h_of_cdvector
 from polyhvec.lattice import Bipyr, Simplex, parse_expr
@@ -133,6 +144,38 @@ def test_sparse_sets_give_unimodular_rows():
         cols, _ = _basis_solver(d)  # raises unless the submatrix has det +-1
         assert cols == sparse_sets(d)
         assert len(cols) == len(cd_words(d))
+
+
+def test_word_cd_examples():
+    assert word_cd("CCC") == {"ccc": 1, "cd": 2, "dc": 2}
+    assert word_cd("D") == {"d": 1}
+    assert word_cd("") == {"": 1}
+    with pytest.raises(ValueError):
+        word_cd("CX")
+
+
+def test_word_cd_matches_word_flags():
+    # the fold against the flag operators, on all 2^d entries; and the peel
+    # of each word flag gives its fold back
+    for d in range(10):
+        for w in cd_words(d):
+            assert cd_index_flag(word_cd(w), d) == word_flag(w), w
+            assert cd_index(word_flag(w)) == word_cd(w), w
+
+
+def test_peel_is_triangular_with_unit_pivots():
+    # expanding a monomial (c to a or b, d to ab or ba) meets its own sparse
+    # word once, with c to a and d to ba, and every other word at a larger mask
+    for d in range(MAX_BASIS_DEGREE + 1):
+        for S, m in zip(sparse_sets(d), cd_monomials(d)):
+            choices, pos = [], 0
+            for letter in m:
+                choices.append((0, 1 << pos) if letter == "c" else (1 << pos, 2 << pos))
+                pos += 1 if letter == "c" else 2
+            assert pos == d
+            masks = Counter(map(sum, itertools.product(*choices)))
+            own = sum(1 << i for i in S)
+            assert min(masks) == own and masks[own] == 1, m
 
 
 def test_change_of_basis_refuses_degrees_over_the_cap():

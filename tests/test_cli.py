@@ -1,16 +1,23 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import validate_record
 from polyhvec import cli
-from polyhvec.errors import NotInCDSpanError
+from polyhvec.cdwords import word_flag
+from polyhvec.errors import ExprParseError, NotInCDSpanError
+from polyhvec.lattice import expr_str, face_count_bound, parse_expr
+from test_lattice import EDITS, any_expression, apply_edits
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +200,34 @@ def test_change_of_basis_degree_limit_fails_fast(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "degree" in err
+
+
+def test_change_of_basis_builds_no_word_flags(capsys):
+    # CD-coordinates come from the cd-index; word flags are the oracle only
+    word_flag.cache_clear()
+    for argv in (
+        ("hvec", "cube(10)"),
+        ("toric", "DDDDD(pt)"),
+        ("hvec", "prod(cube(2),simplex(3))", "--format", "json"),
+    ):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert word_flag.cache_info().misses == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_expression(), st.lists(EDITS, max_size=3))
+def test_fuzzed_input_exits_with_a_documented_code(e, edits):
+    text = apply_edits(expr_str(e), edits)
+    try:  # small inputs keep the property fast; unparsable ones still run
+        assume(face_count_bound(parse_expr(text)) <= 20_000)
+    except ExprParseError:
+        pass
+    for command in ("flag", "hvec", "toric"):
+        for fmt in ("text", "json"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = cli.main([command, text, "--format", fmt])
+            assert code in (0, 2, 3, 4)
 
 
 # SHA-256 of stdout, pinned from the implementation before words parsed to

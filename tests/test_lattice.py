@@ -271,13 +271,17 @@ GRAMMAR_PIECES = [
 EDITS = st.tuples(st.integers(0, 80), st.integers(0, 4), st.sampled_from(GRAMMAR_PIECES))
 
 
+def apply_edits(text, edits):
+    """Grammar text with a few pieces cut out or pasted in."""
+    for pos, cut, piece in edits:
+        text = text[:pos] + piece + text[pos + cut :]
+    return text
+
+
 @settings(max_examples=300, deadline=None)
 @given(any_expression(), st.lists(EDITS, max_size=3))
 def test_edited_text_parses_or_fails_cleanly(e, edits):
-    # grammar text with a few pieces cut out or pasted in
-    text = expr_str(e)
-    for pos, cut, piece in edits:
-        text = text[:pos] + piece + text[pos + cut :]
+    text = apply_edits(expr_str(e), edits)
     try:
         got = parse_expr(text)
     except ExprParseError:
