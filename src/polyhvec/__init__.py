@@ -37,7 +37,6 @@ from .hpoly import (
     Key,
     KeyedPoly,
     angle,
-    key_prime,
     palindromic_decompose,
     x_minus_y_power,
 )
@@ -59,7 +58,6 @@ from .cdwords import (
     basis_matrix,
     cd_flag,
     cd_words,
-    eliminate_I,
     expand_I,
     to_cd_basis,
     word_degree,
@@ -67,6 +65,7 @@ from .cdwords import (
     word_vector,
 )
 from .hvector import (
+    cd_from_h,
     coordinate_basis,
     flag_from_h,
     g_of_cdvector,
@@ -78,11 +77,11 @@ from .hvector import (
     h_of_polytope,
     h_of_word,
     h_via_links,
-    keys_of_degree,
     simple_h,
     toric_h_of_word,
     toric_of_cdvector,
     toric_of_polytope,
+    word_coordinate,
 )
 
 __version__ = "0.1.0"

@@ -190,19 +190,6 @@ def expand_I(v: CDVector) -> CDVector:
     return acc
 
 
-def eliminate_I(letters: str) -> CDVector:
-    """Rewrite a word over C, D, I (applied to the point) into pure CD-words."""
-    v = CDVector(0, {"": 1})
-    for ch in reversed(letters):
-        if ch in "CD":
-            v = v.prefixed(ch)
-        elif ch == "I":
-            v = expand_I(v)
-        else:
-            raise ValueError(f"unknown operator letter {ch!r}")
-    return v
-
-
 def cd_flag(v: CDVector) -> FlagVector:
     """Flag vector of a CD combination."""
     if v.is_zero():
@@ -359,19 +346,19 @@ def cd_index_flag(psi, d: int) -> FlagVector:
 
 
 @lru_cache(maxsize=None)
-def _basis_solver(d: int):
+def _basis_solver(d: int) -> LinearSolver:
     check_basis_degree(d)
     # P_d: one row per degree-d word, its cd-index; the unknowns are the word
     # coefficients, so solve against the transpose
     rows = [[word_cd(w).get(m, 0) for m in cd_monomials(d)] for w in cd_words(d)]
-    return sparse_sets(d), LinearSolver([list(col) for col in zip(*rows)])
+    return LinearSolver([list(col) for col in zip(*rows)])
 
 
 def to_cd_basis(f: FlagVector) -> CDVector:
     """Exact CD-coordinates of a flag vector; error when none exist."""
     if f.dim < 0:
         raise ValueError("CD-coordinates need dimension >= 0")
-    _, solver = _basis_solver(f.dim)
+    solver = _basis_solver(f.dim)
     psi = cd_index(f)
     # the sparse entries fix the cd-index; every other entry must agree
     if cd_index_flag(psi, f.dim) != f:

@@ -161,6 +161,7 @@ class Key:
         return 2 * sum(self.ds) + sum(self.cs) + 3 * len(self.ds)
 
     def primed(self, i: int, j: int) -> "Key":
+        """Prepend i to the d-list and j to the c-list; degree grows by 2i + j + 3."""
         return Key((i,) + self.ds, (j,) + self.cs)
 
     def sort_key(self):
@@ -176,13 +177,6 @@ class Key:
 
 
 EMPTY_KEY = Key((), ())
-
-
-def key_prime(i: int, j: int, k: Key) -> Key:
-    """Prepend i to the d-list and j to the c-list; degree grows by 2i + j + 3."""
-    if i < 0 or j < 0:
-        raise ValueError("key indices must be nonnegative")
-    return k.primed(i, j)
 
 
 class KeyedPoly:

@@ -12,16 +12,32 @@ mutual recursion with a g-value on CD-words:
 and, the step that makes the invariant complete, g on a diamond is read
 off the angle-basis decomposition of h: each angle(i, j) w_k term of
 h(v) contributes (xy)^(i+1) y^(j+1) w_k plus the fresh symbol w_k' with
-k' = key_prime(i, j, k).  Dropping the fresh symbols (key-free
+k' = k.primed(i, j).  Dropping the fresh symbols (key-free
 recursion g(Dv) = xy g(v)) gives the classical toric h-vector, which
 this module also implements independently as a cross-check.
 
 Values extend to arbitrary polytopes linearly through CD-coordinates of
-the flag vector, and the flag vector can be recovered exactly because
-the matrix of h-values of degree-d words against the angle/key
-coordinate basis is unimodular.  That is checked by computation for
-every d <= 12 = cdwords.MAX_BASIS_DEGREE, and `LinearSolver` checks it
-again at every degree it is built for.
+the flag vector, and the flag vector can be recovered exactly, in every
+dimension, by a peel.  A word reads D^i C^j B_1 ... B_r with blocks
+B_k = C D^(a_k+1) C^(b_k); `word_coordinate` pairs it with the
+coordinate angle(i, j) w_K, K = ((a_1..a_r), (b_1..b_r)), a bijection
+from the degree-d words onto the coordinates of dimension d.  Rank a key
+by (degree, length).  Then h(w) = angle(i, j) w_K + terms whose keys have
+lower rank, so taking the words by descending rank of their keys, the
+remaining value at a word's own coordinate is its coefficient.
+
+Proof, by induction along the recursion: every key of h(w) has degree
+<= deg K and length <= len K, and the terms of length len K are exactly
+angle(i, j) w_K; for w not starting with D, the same holds for g(w) with
+y^(j+1) in place of angle(i, j).  The empty word has h = 1, g = y.
+* h(Dv) = xy h(v) keeps the keys and raises i.
+* If v does not start with D, Cv has v's key and j + 1: g(Cv) = y g(v),
+  and h(Cv) = g(v) + x h(v) has x angle(0, j) + y^(j+1) = angle(0, j+1).
+* CDv has i = j = 0 and deg K = dim CDv, which bounds every key degree.
+  g(Dv) is made of terms with h(v)'s keys, shorter than K, and the
+  constants w_k' for the angle terms of h(v); of those only the one from
+  angle(i(v), j(v)) w_K(v) has length len K, and it is 1 w_K.  Both
+  g(CDv) = y g(Dv) and h(CDv) = g(Dv) + x^2 y h(v) follow.
 """
 
 from __future__ import annotations
@@ -53,7 +69,6 @@ from .hpoly import (
     zero_poly,
 )
 from .lattice import Expr, build_lattice, flag_of_lattice, link_flag
-from .linalg import LinearSolver
 
 
 # ---------------------------------------------------------------------------
@@ -200,51 +215,28 @@ def simple_h(f: FlagVector) -> HPoly:
 # the coordinate basis and completeness
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def word_coordinate(w: str) -> tuple[int, int, Key]:
+    """The (i, j, key) coordinate paired with a CD-word.
 
-
-@lru_cache(maxsize=None)
-def keys_of_degree(m: int) -> tuple[Key, ...]:
-    """All keys of one degree (2*sum ds + sum cs + 3r = m), sorted."""
-    found = []
-    if m == 0:
-        found.append(EMPTY_KEY)
-    r = 1
-    while 3 * r <= m:
-        budget = m - 3 * r
-        for dsum in range(budget // 2 + 1):
-            csum = budget - 2 * dsum
-            for ds in _compositions(dsum, r):
-                for cs in _compositions(csum, r):
-                    found.append(Key(ds, cs))
-        r += 1
-    return tuple(sorted(found, key=Key.sort_key))
+    w reads D^i C^j B_1 ... B_r with blocks B_k = C D^(a_k+1) C^(b_k) and
+    pairs with (i, j, Key((a_1..a_r), (b_1..b_r))).
+    """
+    check_word(w)
+    i = len(w) - len(w.lstrip("D"))
+    head, *blocks = w[i:].split("CD")  # C^j, then D^(a_k) C^(b_k) per block
+    ds = tuple(b.count("D") for b in blocks)
+    return i, len(head), Key(ds, tuple(b.count("C") for b in blocks))
 
 
 @lru_cache(maxsize=None)
 def coordinate_basis(dim: int) -> tuple[tuple[int, int, Key], ...]:
     """Canonical (i, j, key) coordinates for keyed h-values of one dimension.
 
-    Ordered by key degree, then key, then i; the count always matches the
-    number of CD-words of that degree.
+    The images of the degree-dim words under `word_coordinate`, ordered by
+    key degree, then key, then i.
     """
-    coords = []
-    for m in range(dim + 1):
-        for key in keys_of_degree(m):
-            rem = dim - m
-            for i in range(rem // 2 + 1):
-                coords.append((i, rem - 2 * i, key))
-    return tuple(coords)
+    coords = map(word_coordinate, cd_words(dim))
+    return tuple(sorted(coords, key=lambda c: (c[2].sort_key(), c[0])))
 
 
 def h_coordinates(kp: KeyedPoly) -> list:
@@ -264,24 +256,47 @@ def h_coordinates(kp: KeyedPoly) -> list:
 
 
 def h_matrix(d: int) -> list[list[int]]:
-    """h-coordinates of every degree-d word; square, unimodular for d <= 12."""
+    """h-coordinates of every degree-d word, one row per word.
+
+    Row w holds 1 at `word_coordinate(w)` and is otherwise supported on
+    coordinates whose keys rank lower (module docstring), so the matrix is
+    a permuted unitriangular one: unimodular for every d.
+    """
     words = cd_words(d)
     rows = [h_coordinates(h_of_word(w)) for w in words]
     assert all(len(r) == len(words) for r in rows), "coordinate count != word count"
     return rows
 
 
-@lru_cache(maxsize=None)
-def _h_solver(d: int) -> LinearSolver:
-    check_basis_degree(d)
-    # the unknowns are the word coefficients, so solve against the transpose
-    return LinearSolver([list(col) for col in zip(*h_matrix(d))])
+def _key_rank(w: str) -> tuple[int, int]:
+    key = word_coordinate(w)[2]
+    return key.degree, len(key.ds)
+
+
+def cd_from_h(kp: KeyedPoly) -> CDVector:
+    """Exact CD-coordinates of an h-value, peeled word by word.
+
+    Words go by descending key rank; each one's coefficient is the value
+    left at its own coordinate, and its h-row is subtracted.
+    """
+    if kp.dim < 0:
+        raise ValueError("flag recovery needs dimension >= 0")
+    rest = h_coordinates(kp)  # rejects non-palindromic and ill-keyed input
+    position = {c: n for n, c in enumerate(coordinate_basis(kp.dim))}
+    coeffs = {}
+    for w in sorted(cd_words(kp.dim), key=_key_rank, reverse=True):
+        c = rest[position[word_coordinate(w)]]
+        if c:
+            coeffs[w] = c
+            for n, v in enumerate(h_coordinates(h_of_word(w))):
+                rest[n] -= c * v
+    if any(rest):  # only if the rows were not triangular in this order
+        raise ValueError(f"the peel of a dim-{kp.dim} h-value left a remainder")
+    return CDVector(kp.dim, coeffs)
 
 
 def flag_from_h(kp: KeyedPoly) -> FlagVector:
     """Recover the flag vector from an h-value, exactly."""
-    if kp.dim < 0:
-        raise ValueError("flag recovery needs dimension >= 0")
-    vec = h_coordinates(kp)  # rejects non-palindromic and ill-keyed input
-    x = _h_solver(kp.dim).solve(vec)
-    return cd_flag(CDVector(kp.dim, dict(zip(cd_words(kp.dim), x))))
+    v = cd_from_h(kp)
+    check_basis_degree(v.degree)
+    return cd_flag(v)

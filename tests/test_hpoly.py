@@ -9,7 +9,6 @@ from polyhvec import (
     KeyedPoly,
     NotPalindromicError,
     angle,
-    key_prime,
     palindromic_decompose,
     x_minus_y_power,
 )
@@ -87,13 +86,16 @@ def test_key_degree_and_shorthand():
 
 
 def test_key_prime():
-    assert key_prime(0, 0, EMPTY_KEY) == Key((0,), (0,))
-    assert key_prime(0, 1, EMPTY_KEY) == Key((0,), (1,))
+    assert EMPTY_KEY.primed(0, 0) == Key((0,), (0,))
+    assert EMPTY_KEY.primed(0, 1) == Key((0,), (1,))
     k = Key((3, 2), (2, 1))
-    primed = key_prime(1, 3, k)
+    primed = k.primed(1, 3)
     assert primed == Key((1, 3, 2), (3, 2, 1))
     assert primed.degree == k.degree + 2 * 1 + 3 + 3
     assert primed.degree == 27
+    for i, j in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            k.primed(i, j)
 
 
 def test_keyed_poly_bookkeeping():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from polyhvec import (
     Key,
     KeyedPoly,
     angle,
+    cd_from_h,
     cd_words,
     coordinate_basis,
     flag_from_h,
@@ -20,14 +22,15 @@ from polyhvec import (
     h_of_polytope,
     h_of_word,
     h_via_links,
-    keys_of_degree,
     simple_h,
     to_cd_basis,
     toric_h_of_word,
     toric_of_polytope,
+    word_coordinate,
     word_flag,
 )
 from polyhvec.hpoly import ONE, X, XY, Y, monomial, palindromic_decompose
+from polyhvec import hvector
 from polyhvec.hvector import g_of_cdvector
 from polyhvec.lattice import (
     Bipyr,
@@ -165,14 +168,34 @@ def test_coordinate_basis_dim4_order():
 
 
 def test_keys_of_degree():
-    assert keys_of_degree(0) == (EMPTY_KEY,)
-    assert keys_of_degree(1) == ()
-    assert keys_of_degree(3) == (Key((0,), (0,)),)
-    assert set(keys_of_degree(6)) == {
+    # the keys of coordinate_basis(6), in sort_key order, by degree
+    keys = list(dict.fromkeys(key for _, _, key in coordinate_basis(6)))
+    assert keys == sorted(keys, key=Key.sort_key)
+    of_degree = {m: [k for k in keys if k.degree == m] for m in range(7)}
+    assert of_degree[0] == [EMPTY_KEY]
+    assert of_degree[1] == []
+    assert of_degree[3] == [Key((0,), (0,))]
+    assert set(of_degree[6]) == {
         Key((0,), (3,)),
         Key((1,), (1,)),
         Key((0, 0), (0, 0)),
     }
+
+
+def test_word_coordinate_examples_and_inverse():
+    assert word_coordinate("") == (0, 0, EMPTY_KEY)
+    assert word_coordinate("DDCC") == (2, 2, EMPTY_KEY)
+    assert word_coordinate("CDD") == (0, 0, Key((1,), (0,)))
+    assert word_coordinate("CCDC") == (0, 1, Key((0,), (1,)))
+    assert word_coordinate("DCCDDCCDC") == (1, 1, Key((1, 0), (1, 1)))
+    # D^i C^j B_1 ... B_r with B_k = C D^(a_k+1) C^(b_k) gives the word back
+    for d in range(13):
+        for w in cd_words(d):
+            i, j, key = word_coordinate(w)
+            blocks = "".join(
+                "C" + "D" * (a + 1) + "C" * b for a, b in zip(key.ds, key.cs)
+            )
+            assert "D" * i + "C" * j + blocks == w
 
 
 def test_h_matrix_small():
@@ -186,23 +209,40 @@ def test_h_matrix_small():
 
 
 def test_h_matrix_is_permuted_unitriangular():
-    # every degree admits a word <-> coordinate matching with unit pivots
-    for d in range(7):
-        rows = h_matrix(d)
-        remaining = set(range(len(rows)))
-        cols = list(range(len(rows)))
-        while remaining:
-            pick = None
-            for c in cols:
-                live = [r for r in remaining if rows[r][c] != 0]
-                if len(live) == 1:
-                    pick = (live[0], c)
-                    break
-            assert pick is not None, f"no triangular matching at degree {d}"
-            r, c = pick
-            assert rows[r][c] == 1
-            remaining.discard(r)
-            cols.remove(c)
+    # h(w) has 1 at w's own coordinate, and every other coordinate it meets
+    # has a key of lower (degree, length) rank: the order the peel takes
+    def rank(key):
+        return key.degree, len(key.ds)
+
+    for d in range(15):
+        coords = coordinate_basis(d)
+        for w, row in zip(cd_words(d), h_matrix(d)):
+            own = word_coordinate(w)
+            assert row[coords.index(own)] == 1, w
+            for c, v in zip(coords, row):
+                assert not v or c == own or rank(c[2]) < rank(own[2]), (w, c)
+
+
+def test_peel_round_trips_to_degree_12():
+    rng = random.Random(1729)
+    for d in range(13):
+        words = cd_words(d)
+        for _ in range(3):
+            v = CDVector(d, {w: rng.randint(-99, 99) for w in words})
+            assert cd_from_h(h_of_cdvector(v)) == v
+
+
+def test_flag_from_h_raises_on_a_leftover(monkeypatch):
+    # a row with an entry at a coordinate peeled before it leaves a remainder
+    for w in cd_words(3):
+        h_of_word(w)  # fill the cache, so the patch reaches no recursion
+    real = hvector.h_of_word
+    extra = KeyedPoly(3, {Key((0,), (0,)): ONE})
+    monkeypatch.setattr(
+        hvector, "h_of_word", lambda w: real(w) + extra if w == "DC" else real(w)
+    )
+    with pytest.raises(ValueError, match="remainder"):
+        flag_from_h(real("DC"))
 
 
 def test_flag_from_h_round_trips():
