@@ -4,8 +4,9 @@ The package computes, in exact integer arithmetic:
 
 * flag vectors of polytopes built from a small constructor grammar
   (point, pyramid, prism, bipyramid, dual, product, simplices, cubes,
-  cross-polytopes), by chain counting on explicit face lattices;
-* the linear pyramid/prism/diamond/duality operators on flag vectors;
+  cross-polytopes), from their cd-index or by lattice chain counting;
+* the linear pyramid/prism/diamond/duality operators on cd-indices and,
+  as their oracle, on flag vectors;
 * the CD-word basis and the exact change of basis both ways;
 * the complete keyed h-vector (palindromic, with key symbols) and the
   classical toric h-vector, with the face-link sum as an independent

@@ -19,33 +19,34 @@ Bayer-Billera sparse set (subsets of 0..d-2 with no two consecutive;
 Bayer and Billera, Invent. Math. 79, 1985).  A monomial's d's start at
 the positions of its sparse set.
 
-* Fold (`word_cd`): the cd-index of a word, with no flag vector built, by
-  the derivations of Ehrenborg and Readdy (J. Algebraic Combin. 8, 1998).
+* Operators (`pyramid_cd`, `prism_cd`, `diamond_cd`, `dual_cd`): the
+  derivations of Ehrenborg and Readdy (J. Algebraic Combin. 8, 1998).
   The pyramid maps Psi to c Psi + G(Psi), G the derivation with G(c) = d
   and G(d) = dc; the prism maps Psi to Psi c + D'(Psi), D' the derivation
   with D'(c) = 2d and D'(d) = cd + dc; D is the prism of the pyramid
-  minus the pyramid of the pyramid.  So CCC folds to c^3 + 2cd + 2dc, and
-  D to d.
-* Peel (`cd_index`): the flag h-numbers at the sparse sets, by
-  inclusion-exclusion over their subsets (which are sparse too), fix the
-  cd-index with +1 pivots, taking the monomials by ascending mask of
-  their d-positions.  Proof, for every d: expanding a monomial with
-  c -> a and d -> ba gives its own sparse word once.  Every other choice
-  turns an a into b (c -> b) or moves a d's b up one place (d -> ab),
-  and the letters cover disjoint positions, so it gives a strictly larger
-  mask.  The h-number at the sparse word of a monomial is therefore its
-  coefficient plus coefficients of monomials peeled before it.
+  minus the pyramid of the pyramid; the dual reverses every monomial
+  (Stanley, Math. Z. 216, 1994).  `word_cd` folds the pyramid and the
+  diamond over a word, with no flag vector built: CCC folds to
+  c^3 + 2cd + 2dc, and D to d.
+* Split (`cd_index`): inclusion-exclusion turns all 2^d flag entries
+  into the dense ab-index.  Write Psi = cX + dY with X of degree d - 1
+  and Y of degree d - 2.  After a leading a the ab-index reads X + bY,
+  after a leading b it reads X + aY; so the words starting ab and bb fix
+  Y, the words starting aa and bb fix X, and the words starting ba must
+  give Y once more.  So each level reads all its entries and passes
+  exactly when they are the ab-index of cX + dY, with X and Y forced.
+  By induction on the degree, recursing on X and Y returns the cd-index
+  when one exists, and it is unique; otherwise the split raises
+  `NotInCDSpanError` at the first level that disagrees.
 * Solve (`_basis_solver`): P_d, whose rows are the cd-indices of the
   degree-d words, has an integer inverse.  Its determinant is +1 or -1 by
   computation, not by proof: `LinearSolver` checks it at every degree it
   is built for.
-* Check (`cd_index_flag`): the cd-index expands densely to all 2^d flag
-  entries, which must equal the input's; if not, the input has no
-  CD-coordinates.
 
 MAX_BASIS_DEGREE = 12 is a resource cap: at d = 12 the fold takes about
 0.8 s and inverting P_12 about 5 s (one 2-vCPU machine, in-process).
-`word_flag` stays as the flag-operator oracle.
+`word_flag`, `cd_flag` and `basis_matrix` stay as the flag-operator
+oracle.
 """
 
 from __future__ import annotations
@@ -200,8 +201,8 @@ def cd_flag(v: CDVector) -> FlagVector:
 def sparse_sets(d: int) -> list[tuple[int, ...]]:
     """The Bayer-Billera sparse sets: subsets of 0..d-2, no two consecutive.
 
-    There is one per degree-d word, and they are the flag entries the peel
-    in `cd_index` reads: the ab-words of the cd-monomials.
+    There is one per degree-d word: the b-positions of the cd-monomials
+    read with c -> a and d -> ba, which order the columns of P_d.
     """
     return [
         S
@@ -249,7 +250,31 @@ def _operator(psi: dict, rule: dict, left: str, right: str) -> dict:
             for image, n in rule[letter]:
                 key = m[:i] + image + m[i + 1 :]
                 out[key] = out.get(key, 0) + n * k
-    return out
+    return {m: k for m, k in out.items() if k}
+
+
+def pyramid_cd(psi) -> dict:
+    """cd-index of the pyramid: c psi + G(psi)."""
+    return _operator(psi, _PYRAMID_RULE, "c", "")
+
+
+def prism_cd(psi) -> dict:
+    """cd-index of the prism: psi c + D'(psi)."""
+    return _operator(psi, _PRISM_RULE, "", "c")
+
+
+def diamond_cd(psi) -> dict:
+    """cd-index of the diamond: prism of the pyramid minus pyramid of the pyramid."""
+    cone = pyramid_cd(psi)
+    out = prism_cd(cone)
+    for m, k in pyramid_cd(cone).items():
+        out[m] = out.get(m, 0) - k
+    return {m: k for m, k in out.items() if k}
+
+
+def dual_cd(psi) -> dict:
+    """cd-index of the dual: every monomial reversed."""
+    return {m[::-1]: k for m, k in psi.items()}
 
 
 @lru_cache(maxsize=None)
@@ -258,76 +283,62 @@ def word_cd(w: str) -> MappingProxyType:
     check_word(w)
     if w == "":
         return MappingProxyType({"": 1})
-    cone = _operator(word_cd(w[1:]), _PYRAMID_RULE, "c", "")
-    if w[0] == "D":  # prism of the pyramid minus pyramid of the pyramid
-        prism = _operator(cone, _PRISM_RULE, "", "c")
-        for m, k in _operator(cone, _PYRAMID_RULE, "c", "").items():
-            prism[m] = prism.get(m, 0) - k
-        cone = prism
-    return MappingProxyType({m: k for m, k in cone.items() if k})
+    step = pyramid_cd if w[0] == "C" else diamond_cd
+    return MappingProxyType(step(word_cd(w[1:])))
 
 
-@lru_cache(maxsize=None)
-def _peel_plan(d: int) -> tuple:
-    """Per sparse set by ascending mask: (mask, set, monomial, masks it hits).
+def _split(ab: list[int], n: int) -> dict[str, int]:
+    """The cd-polynomial cX + dY whose dense degree-n ab-index is `ab`.
 
-    The hit masks are the later sparse sets whose ab-words the monomial's
-    expansion contains.
+    aa r is X(a r), bb r is X(b r), ab r - bb r is Y(r) and so is ba r - aa r.
     """
-    entries = sorted(
-        (sum(1 << i for i in S), S, m) for S, m in zip(sparse_sets(d), cd_monomials(d))
-    )
-    masks = [mask for mask, _, _ in entries]
-    plan = []
-    for n, (mask, S, m) in enumerate(entries):
-        starts = [i for i in range(d) if mask >> i & 1]  # where the d's start
-        # an ab-word is in the expansion iff it reads ab or ba at every d
-        hits = tuple(
-            t for t in masks[n + 1 :] if all((t >> i & 3) in (1, 2) for i in starts)
-        )
-        plan.append((mask, S, m, hits))
-    return tuple(plan)
+    if not any(ab):
+        return {}
+    if n == 0:
+        return {"": ab[0]}
+    if n == 1:
+        if ab[0] != ab[1]:
+            raise NotInCDSpanError("flag vector is not a CD combination")
+        return {"c": ab[0]}
+    quarter = range(1 << (n - 2))
+    # masks 4r, 4r+1, 4r+2, 4r+3 start with aa, ba, ab, bb
+    y = [ab[4 * r + 2] - ab[4 * r + 3] for r in quarter]
+    if any(ab[4 * r + 1] - ab[4 * r] != y[r] for r in quarter):
+        raise NotInCDSpanError("flag vector is not a CD combination")
+    x = [ab[2 * m + (m & 1)] for m in range(1 << (n - 1))]  # from aa and bb
+    psi = {"c" + m: k for m, k in _split(x, n - 1).items()}
+    psi.update(("d" + m, k) for m, k in _split(y, n - 2).items())
+    return psi
 
 
 def cd_index(f: FlagVector) -> dict[str, int]:
-    """The cd-index of f, peeled from its sparse entries alone.
-
-    Only those entries are read, so the result is f's cd-index only if f
-    has one: `cd_index_flag` of the result equals f exactly then.
-    """
-    plan = _peel_plan(f.dim)
-    h = {mask: f.get(S) for mask, S, _, _ in plan}
-    for i in range(f.dim):  # flag f-numbers to flag h-numbers
-        for mask in h:
-            if mask >> i & 1:
-                h[mask] -= h[mask ^ (1 << i)]
-    psi = {}
-    for mask, _, monomial, hits in plan:
-        k = h[mask]
-        if k:
-            psi[monomial] = k
-            for t in hits:
-                h[t] -= k
-    return psi
+    """The cd-index of f, split from all 2^d entries; NotInCDSpanError if none."""
+    flag_f = [f.entries.get(S, 0) for S in _sets_by_mask(f.dim)]
+    return _split(_subset_sums(flag_f, f.dim, -1), f.dim)
 
 
 def _ab_coefficients(psi, n: int) -> list[int]:
     """Dense ab-index of a degree-n cd-polynomial, indexed by b-position mask."""
     if not psi:
         return [0] * (1 << n)
-    if n == 0:
-        return [psi[""]]
-    parts: dict[str, dict[str, int]] = {"c": {}, "d": {}}
-    for m, k in psi.items():
-        parts[m[0]][m[1:]] = k
-    rest = _ab_coefficients(parts["c"], n - 1)  # a or b at position 0
-    out = [rest[mask >> 1] for mask in range(1 << n)]
-    if parts["d"]:  # ab or ba at positions 0 and 1
-        rest = _ab_coefficients(parts["d"], n - 2)
-        for mask in range(1 << n):
-            if (mask & 3) in (1, 2):
-                out[mask] += rest[mask >> 2]
+    if n < 2:
+        return [psi.get("c" * n, 0)] * (1 << n)
+    x = _ab_coefficients({m[1:]: k for m, k in psi.items() if m[0] == "c"}, n - 1)
+    y = _ab_coefficients({m[1:]: k for m, k in psi.items() if m[0] == "d"}, n - 2)
+    out = [x[mask >> 1] for mask in range(1 << n)]
+    for mask in range(1 << n):
+        if (mask & 3) in (1, 2):
+            out[mask] += y[mask >> 2]
     return out
+
+
+def _subset_sums(entries: list[int], d: int, sign: int) -> list[int]:
+    """In place, flag h-numbers to f-numbers (sign 1) or back (sign -1)."""
+    for i in range(d):
+        for mask in range(1 << d):
+            if mask >> i & 1:
+                entries[mask] += sign * entries[mask ^ (1 << i)]
+    return entries
 
 
 @lru_cache(maxsize=None)
@@ -337,11 +348,7 @@ def _sets_by_mask(d: int) -> tuple[tuple[int, ...], ...]:
 
 def cd_index_flag(psi, d: int) -> FlagVector:
     """Flag vector of a degree-d cd-polynomial: its ab-index, then subset sums."""
-    entries = _ab_coefficients(psi, d)
-    for i in range(d):
-        for mask in range(1 << d):
-            if mask >> i & 1:
-                entries[mask] += entries[mask ^ (1 << i)]
+    entries = _subset_sums(_ab_coefficients(psi, d), d, 1)
     return FlagVector(d, zip(_sets_by_mask(d), entries))
 
 
@@ -360,8 +367,5 @@ def to_cd_basis(f: FlagVector) -> CDVector:
         raise ValueError("CD-coordinates need dimension >= 0")
     solver = _basis_solver(f.dim)
     psi = cd_index(f)
-    # the sparse entries fix the cd-index; every other entry must agree
-    if cd_index_flag(psi, f.dim) != f:
-        raise NotInCDSpanError(f"flag vector of dim {f.dim} is not a CD combination")
     x = solver.solve([psi.get(m, 0) for m in cd_monomials(f.dim)])
     return CDVector(f.dim, dict(zip(cd_words(f.dim), x)))

@@ -18,10 +18,11 @@ import sys
 
 from .cdwords import (
     basis_matrix,
+    cd_index_flag,
     cd_words,
     check_basis_degree,
     to_cd_basis,
-    word_flag,
+    word_cd,
     word_vector,
 )
 from .errors import ExprParseError, FaceCountLimitError, NotInCDSpanError
@@ -96,7 +97,8 @@ def cmd_table(args) -> int:
     for degree in range(args.max_dim + 1):
         for w in cd_words(degree):
             name = f"{w}(pt)" if w else "pt"
-            record = full_record(name, word_flag(w), word_vector(w))
+            flag = cd_index_flag(word_cd(w), degree)
+            record = full_record(name, flag, word_vector(w))
             if args.format == "json":
                 out.write(_dump(record) + "\n")
             else:

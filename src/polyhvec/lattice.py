@@ -13,27 +13,24 @@ a buildable polytope, so the arguments of prod must be D-free.
 
 Faces are integer indices; only the combinatorics matter.  Lattices
 are immutable after build and chain counting is exact integer dynamic
-programming over the containment order; these chain counts are the
-oracle that the flag-level pyramid/prism formulas are tested against.
+programming over the containment order.
+
+Every unary node has a step on face lattices and one on cd-indices, and
+`_build` and `eval_cd` fold the same chain of steps over the point or a
+product, the one base that is chain-counted.  Lattice chain counts and
+the flag operators of `flagvec` are the oracles for this evaluation.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cdwords import cd_index, cd_index_flag, diamond_cd, dual_cd, prism_cd, pyramid_cd
 from .errors import ExprParseError, FaceCountLimitError
-from .flagvec import (
-    FlagVector,
-    GradedFlagVector,
-    d_flag,
-    dim_subsets,
-    dual_flag,
-    point_flag,
-    prism_flag,
-    pyramid_flag,
-)
+from .flagvec import FlagVector, GradedFlagVector, dim_subsets
 
 DEFAULT_FACE_CAP = 10**6
 # far above any size under the face cap, far below int()'s digit limit
@@ -99,17 +96,7 @@ Expr = (
     Pt | Cone | Prism | Bipyr | Dual | Diamond | Prod | Simplex | Cube | Crosspoly
 )
 
-# every unary node: (spelling, dimension step, faces after it from the
-# faces before it); the bipyramid counts as the dual prism, and the
-# diamond IC - CC is bounded by its prism-of-cone branch
-_UNARY = {
-    Cone: ("C", 1, lambda n: 2 * n),
-    Prism: ("I", 1, lambda n: 3 * (n - 1) + 1),
-    Bipyr: ("B", 1, lambda n: 3 * (n - 1) + 1),
-    Dual: ("dual", 0, lambda n: n),
-    Diamond: ("D", 2, lambda n: 3 * (2 * n - 1) + 1),
-}
-_UNARY_BY_NAME = {spelling: node for node, (spelling, _, _) in _UNARY.items()}
+# the unary nodes' spellings and steps are in `_UNARY`, after the lattices
 _SIZED = {"simplex": Simplex, "cube": Cube, "crosspoly": Crosspoly}
 
 _WORD_RE = re.compile(r"[CDI]+\Z")
@@ -231,7 +218,7 @@ def expr_dim(e: Expr) -> int:
         d = expr_dim(base.left) + expr_dim(base.right)
     else:
         d = 0 if isinstance(base, Pt) else base.n
-    return d + sum(_UNARY[type(node)][1] for node in chain)
+    return d + sum(_UNARY[type(node)].dim for node in chain)
 
 
 def expr_str(e: Expr) -> str:
@@ -242,7 +229,7 @@ def expr_str(e: Expr) -> str:
         text = f"prod({expr_str(base.left)},{expr_str(base.right)})"
     else:
         text = f"{type(base).__name__.lower()}({base.n})"
-    prefix = "".join(_UNARY[type(node)][0] + "(" for node in chain)
+    prefix = "".join(_UNARY[type(node)].spelling + "(" for node in chain)
     return prefix + text + ")" * len(chain)
 
 
@@ -285,7 +272,7 @@ def face_count_bound(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
     else:
         n = 2 ** (base.n + 1) if isinstance(base, Simplex) else 3**base.n + 1
     for node in reversed(chain):
-        n = _UNARY[type(node)][2](n)
+        n = _UNARY[type(node)].faces(n)
         if n > cap:
             return cap + 1
     return min(n, cap + 1)
@@ -405,37 +392,58 @@ def _dual_lattice(L: FaceLattice) -> FaceLattice:
     return FaceLattice(dims, covers, L.top, L.bottom)
 
 
-def _segment_lattice() -> FaceLattice:
-    return _cone_lattice(_point_lattice())
+def _prism_lattice(L: FaceLattice) -> FaceLattice:
+    return _product_lattice(L, _cone_lattice(_point_lattice()))  # the segment
+
+
+# every unary node: its spelling, dimension step, faces after it from the
+# faces before it, step on face lattices (D has none) and step on
+# cd-indices; the bipyramid is the dual of the prism of the dual, and the
+# diamond IC - CC is bounded by its prism-of-cone branch
+_Unary = namedtuple("_Unary", "spelling dim faces lattice cd")
+_UNARY = {
+    Cone: _Unary("C", 1, lambda n: 2 * n, _cone_lattice, pyramid_cd),
+    Prism: _Unary("I", 1, lambda n: 3 * (n - 1) + 1, _prism_lattice, prism_cd),
+    Bipyr: _Unary(
+        "B",
+        1,
+        lambda n: 3 * (n - 1) + 1,
+        lambda L: _dual_lattice(_prism_lattice(_dual_lattice(L))),
+        lambda psi: dual_cd(prism_cd(dual_cd(psi))),
+    ),
+    Dual: _Unary("dual", 0, lambda n: n, _dual_lattice, dual_cd),
+    Diamond: _Unary("D", 2, lambda n: 3 * (2 * n - 1) + 1, None, diamond_cd),
+}
+_UNARY_BY_NAME = {step.spelling: node for node, step in _UNARY.items()}
+
+
+def _chain(e: Expr):
+    """The point or product under e, and the steps over it, innermost first.
+
+    simplex(n) is C^n(pt), cube(n) is I^(n-1) C(pt) and crosspoly(n) is
+    the dual of cube(n).
+    """
+    chain, base = _unary_chain(e)
+    nodes = []
+    if isinstance(base, Simplex):
+        nodes = [Cone] * base.n
+    elif isinstance(base, (Cube, Crosspoly)):
+        nodes = [Cone] + [Prism] * (base.n - 1)
+        if isinstance(base, Crosspoly):
+            nodes.append(Dual)
+    nodes += [type(node) for node in reversed(chain)]
+    return (base if isinstance(base, Prod) else Pt()), [_UNARY[n] for n in nodes]
 
 
 def _build(e: Expr) -> FaceLattice:
-    if isinstance(e, Pt):
-        return _point_lattice()
-    if isinstance(e, Cone):
-        return _cone_lattice(_build(e.body))
-    if isinstance(e, Prism):
-        return _product_lattice(_build(e.body), _segment_lattice())
-    if isinstance(e, Bipyr):
-        inner = _dual_lattice(_build(e.body))
-        return _dual_lattice(_product_lattice(inner, _segment_lattice()))
-    if isinstance(e, Dual):
-        return _dual_lattice(_build(e.body))
-    if isinstance(e, Prod):
-        return _product_lattice(_build(e.left), _build(e.right))
-    if isinstance(e, Simplex):
+    base, steps = _chain(e)
+    if isinstance(base, Prod):
+        L = _product_lattice(_build(base.left), _build(base.right))
+    else:
         L = _point_lattice()
-        for _ in range(e.n):
-            L = _cone_lattice(L)
-        return L
-    if isinstance(e, Cube):
-        L = _segment_lattice()
-        for _ in range(e.n - 1):
-            L = _product_lattice(L, _segment_lattice())
-        return L
-    if isinstance(e, Crosspoly):
-        return _dual_lattice(_build(Cube(e.n)))
-    raise TypeError(f"not an expression: {e!r}")
+    for step in steps:
+        L = step.lattice(L)
+    return L
 
 
 @lru_cache(maxsize=None)
@@ -589,41 +597,25 @@ def flag_of_lattice(e: Expr) -> FlagVector:
     return chain_count_flag(build_lattice(e))
 
 
+def eval_cd(e: Expr) -> dict[str, int]:
+    """cd-index of an expression: its chain's cd-index steps, folded.
+
+    Virtual inputs (with D) are fine anywhere except inside prod.
+    """
+    base, steps = _chain(e)
+    psi = cd_index(flag_of_lattice(base)) if isinstance(base, Prod) else {"": 1}
+    for step in steps:
+        psi = step.cd(psi)
+    return psi
+
+
 @lru_cache(maxsize=None)
 def eval_flag(e: Expr) -> FlagVector:
-    """Flag vector of an expression, via the linear operators.
+    """Flag vector of an expression: its cd-index, expanded densely.
 
-    Products need real lattices and are chain-counted; everything else is
-    evaluated by the flag operators, so virtual inputs (with D) are fine
-    anywhere except inside prod.
+    No flag operator of `flagvec` is on this path; they are its oracle.
     """
-    if isinstance(e, Pt):
-        return point_flag()
-    if isinstance(e, Cone):
-        return pyramid_flag(eval_flag(e.body))
-    if isinstance(e, Prism):
-        return prism_flag(eval_flag(e.body))
-    if isinstance(e, Bipyr):
-        return dual_flag(prism_flag(dual_flag(eval_flag(e.body))))
-    if isinstance(e, Dual):
-        return dual_flag(eval_flag(e.body))
-    if isinstance(e, Diamond):
-        return d_flag(eval_flag(e.body))
-    if isinstance(e, Prod):
-        return flag_of_lattice(e)
-    if isinstance(e, Simplex):
-        f = point_flag()
-        for _ in range(e.n):
-            f = pyramid_flag(f)
-        return f
-    if isinstance(e, Cube):
-        f = pyramid_flag(point_flag())
-        for _ in range(e.n - 1):
-            f = prism_flag(f)
-        return f
-    if isinstance(e, Crosspoly):
-        return dual_flag(eval_flag(Cube(e.n)))
-    raise TypeError(f"not an expression: {e!r}")
+    return cd_index_flag(eval_cd(e), expr_dim(e))
 
 
 def sample_expressions(max_dim: int) -> list[Expr]:

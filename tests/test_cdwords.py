@@ -16,6 +16,7 @@ from polyhvec import (
     chain_count_flag,
     build_lattice,
     expand_I,
+    linear_combine,
     point_flag,
     prism_flag,
     to_cd_basis,
@@ -120,6 +121,14 @@ def test_to_cd_basis_rejects_vectors_outside_span():
     outside = FlagVector(2, {(0,): 1})
     with pytest.raises(NotInCDSpanError):
         to_cd_basis(outside)
+    # one more at {0, 1}, which is not a sparse set; and the ab-index ba
+    # alone, which only the words starting ba tell from zero
+    off_sparse = word_flag("CCC") + FlagVector(3, {(0, 1): 1})
+    for outside in (off_sparse, FlagVector(2, {(0,): 1, (0, 1): 1})):
+        with pytest.raises(NotInCDSpanError):
+            cd_index(outside)
+        with pytest.raises(NotInCDSpanError):
+            to_cd_basis(outside)
 
 
 def test_exact_linalg_helpers():
@@ -187,8 +196,9 @@ def test_change_of_basis_refuses_degrees_over_the_cap():
 
 
 @st.composite
-def cd_vectors(draw):
-    d = draw(st.integers(0, 7))
+def cd_vectors(draw, d=None):
+    if d is None:
+        d = draw(st.integers(0, 7))
     n = len(cd_words(d))
     coeffs = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
     return CDVector(d, dict(zip(cd_words(d), coeffs)))
@@ -200,3 +210,13 @@ def test_change_of_basis_round_trips(v):
     f = cd_flag(v)
     assert to_cd_basis(f) == v
     assert flag_from_h(h_of_cdvector(v)) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(cd_vectors(), st.data(), st.integers(-50, 50), st.integers(-50, 50))
+def test_change_of_basis_is_linear(u, data, a, b):
+    v = data.draw(cd_vectors(u.degree))
+    f = linear_combine([(a, cd_flag(u)), (b, cd_flag(v))])
+    assert to_cd_basis(f) == u.scaled(a) + v.scaled(b)
+    h = h_of_cdvector(u).scaled(a) + h_of_cdvector(v).scaled(b)
+    assert h_of_cdvector(u.scaled(a) + v.scaled(b)) == h

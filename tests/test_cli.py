@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import validate_record
-from polyhvec import cli
+from polyhvec import cli, flagvec
 from polyhvec.cdwords import word_flag
 from polyhvec.errors import ExprParseError, NotInCDSpanError
 from polyhvec.lattice import expr_str, face_count_bound, parse_expr
@@ -202,13 +202,27 @@ def test_change_of_basis_degree_limit_fails_fast(capsys, argv):
     assert "degree" in err
 
 
-def test_change_of_basis_builds_no_word_flags(capsys):
-    # CD-coordinates come from the cd-index; word flags are the oracle only
+def test_change_of_basis_builds_no_word_flags(capsys, monkeypatch):
+    # evaluation and CD-coordinates run on the cd-index; the flag operators
+    # and word flags are the oracle only
+    def refuse(*_):
+        raise AssertionError("a flag operator was called")
+
+    names = ("pyramid_flag", "prism_flag", "d_flag", "dual_flag")
+    operators = [getattr(flagvec, name) for name in names]
+    for name, module in list(sys.modules.items()):
+        if name == "polyhvec" or name.startswith("polyhvec."):
+            for attr, value in list(vars(module).items()):
+                if any(value is op for op in operators):
+                    monkeypatch.setattr(module, attr, refuse)
     word_flag.cache_clear()
     for argv in (
         ("hvec", "cube(10)"),
         ("toric", "DDDDD(pt)"),
         ("hvec", "prod(cube(2),simplex(3))", "--format", "json"),
+        ("table", "--max-dim", "6", "--format", "json"),
+        ("flag", "DDDDD(pt)"),
+        ("toric", "B(crosspoly(5))", "--format", "json"),
     ):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0

@@ -8,6 +8,7 @@ from polyhvec import (
     FlagVector,
     build_lattice,
     chain_count_flag,
+    d_flag,
     dual_flag,
     empty_flag,
     eval_flag,
@@ -22,6 +23,7 @@ from polyhvec import (
     sample_expressions,
     total_link_vector,
 )
+from polyhvec.cdwords import cd_index
 from polyhvec.flagvec import GradedFlagVector, c_on_graded
 from polyhvec.lattice import (
     Bipyr,
@@ -34,6 +36,7 @@ from polyhvec.lattice import (
     Prod,
     Pt,
     Simplex,
+    eval_cd,
     face_count,
     flag_of_lattice,
     is_buildable,
@@ -252,6 +255,42 @@ def test_random_expressions_round_trip(e):
 def test_random_operator_values_match_chain_counting(e):
     assert is_buildable(e)
     assert eval_flag(e) == flag_of_lattice(e)
+
+
+FLAG_OPERATORS = {
+    Cone: pyramid_flag,
+    Prism: prism_flag,
+    Bipyr: lambda f: dual_flag(prism_flag(dual_flag(f))),
+    Dual: dual_flag,
+    Diamond: d_flag,
+}
+
+
+def operator_flag(e):
+    """Flag vector of e by the flag operators, with products chain-counted."""
+    if type(e) in FLAG_OPERATORS:
+        return FLAG_OPERATORS[type(e)](operator_flag(e.body))
+    if isinstance(e, Prod):
+        return flag_of_lattice(e)
+    f = point_flag()
+    if isinstance(e, Pt):
+        return f
+    if isinstance(e, Simplex):
+        for _ in range(e.n):
+            f = pyramid_flag(f)
+        return f
+    f = pyramid_flag(f)  # a cube or a cross-polytope
+    for _ in range(e.n - 1):
+        f = prism_flag(f)
+    return dual_flag(f) if isinstance(e, Crosspoly) else f
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_expression())
+def test_cd_index_evaluation_matches_flag_operators(e):
+    # the cd-index steps against the flag operators, D included
+    assert eval_flag(e) == operator_flag(e)
+    assert cd_index(eval_flag(e)) == eval_cd(e)
 
 
 @settings(max_examples=100, deadline=None)
