@@ -30,6 +30,7 @@ from .flagvec import (
     linear_combine,
     point_flag,
     prism_flag,
+    product_flag,
     pyramid_flag,
 )
 from .hpoly import (

@@ -6,7 +6,8 @@ exactly S.  Entries are exact integers, stored sparsely (absent set =
 zero), keyed by sorted tuples.  The operators below are linear maps and
 happily produce *virtual* vectors (for example the two-dimensional value
 of the diamond operator on a point has an empty-chain count of zero); no
-polytopality is assumed anywhere.
+polytopality is assumed anywhere.  `product_flag`, the flag vector of
+a product from its factors', is bilinear.
 
 Lookups use the extended convention: a query set may mention -1 (the
 empty face) and d (the body itself), and both are deleted before the
@@ -181,6 +182,63 @@ def d_flag(f: FlagVector) -> FlagVector:
     """Prism-of-pyramid minus pyramid-of-pyramid; raises the dimension by two."""
     cone = pyramid_flag(f)
     return linear_combine([(1, prism_flag(cone)), (-1, pyramid_flag(cone))])
+
+
+def product_flag(f: FlagVector, g: FlagVector) -> FlagVector:
+    """Flag vector of P x Q from f = flag(P) and g = flag(Q), of dims p and q.
+
+    The nonempty faces of P x Q are the products F x G of nonempty faces,
+    of dimension dim F + dim G.  A chain F_1 x G_1 < ... < F_k x G_k of
+    proper faces with dimensions s_1 < ... < s_k is therefore a pair of
+    multichains F_1 <= ... <= F_k in P and G_1 <= ... <= G_k in Q whose
+    dimension sequences a and b are nondecreasing with a_i + b_i = s_i.
+    Faces of equal dimension in a multichain are equal, so the distinct
+    F_i form a chain of P with dimension set set(a), closed by P itself
+    when p is in it; for fixed a and b there are f(set(a) - {p}) *
+    g(set(b) - {q}) such chains.  f_{PxQ}(S) sums that over all pairs of
+    sequences with sums S.
+
+    A dynamic program over s = 0..p+q-1 runs the sum.  It groups the pairs
+    of sequences by their dimension sets (A, B) = (set(a), set(b)) and
+    keeps per group how many pairs give each set of sums so far.  Only
+    max(A) and max(B) bound the next step, and the weight f * g is taken
+    once, at the end.
+    """
+    p, q = f.dim, g.dim
+    if p < 0 or q < 0:
+        raise ValueError("the product of the empty polytope is undefined")
+    groups = {(0, 0): {0: 1}}  # (A, B) -> {S: pairs of sequences}
+    for s in range(p + q):
+        bit = 1 << s
+        # a step adds to groups with more elements, which come first, so
+        # no count gains s twice
+        order = sorted(groups, key=lambda AB: -AB[0].bit_count() - AB[1].bit_count())
+        for A, B in order:
+            counts = groups[(A, B)]
+            last_a = max(A.bit_length() - 1, 0)
+            last_b = max(B.bit_length() - 1, 0)
+            for a in range(max(last_a, s - q), min(p, s - last_b) + 1):
+                key = (A | 1 << a, B | 1 << (s - a))
+                grown = groups.get(key)
+                if grown is None:
+                    groups[key] = {S | bit: n for S, n in counts.items()}
+                    continue
+                for S, n in counts.items():
+                    grown[S | bit] = grown.get(S | bit, 0) + n
+    f_at = {_mask(S): v for S, v in f.entries.items()}
+    g_at = {_mask(S): v for S, v in g.entries.items()}
+    below_p, below_q = (1 << p) - 1, (1 << q) - 1
+    total = {}
+    for (A, B), counts in groups.items():
+        weight = f_at.get(A & below_p, 0) * g_at.get(B & below_q, 0)
+        if weight:
+            for S, n in counts.items():
+                total[S] = total.get(S, 0) + weight * n
+    return FlagVector(p + q, {S: total.get(_mask(S), 0) for S in dim_subsets(p + q)})
+
+
+def _mask(S) -> int:
+    return sum(1 << t for t in S)
 
 
 def dual_flag(f: FlagVector) -> FlagVector:

@@ -17,8 +17,11 @@ programming over the containment order.
 
 Every unary node has a step on face lattices and one on cd-indices, and
 `_build` and `eval_cd` fold the same chain of steps over the point or a
-product, the one base that is chain-counted.  Lattice chain counts and
-the flag operators of `flagvec` are the oracles for this evaluation.
+product.  `_build` builds a product's lattice from its factors' lattices;
+`eval_cd` takes a product's flag vector from its factors' flag vectors
+(`flagvec.product_flag`), so evaluation builds no lattice.  Lattice chain
+counts and the flag operators of `flagvec` are the oracles for this
+evaluation.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import lru_cache
 
 from .cdwords import cd_index, cd_index_flag, diamond_cd, dual_cd, prism_cd, pyramid_cd
 from .errors import ExprParseError, FaceCountLimitError
-from .flagvec import FlagVector, GradedFlagVector, dim_subsets
+from .flagvec import FlagVector, GradedFlagVector, dim_subsets, product_flag
 
 DEFAULT_FACE_CAP = 10**6
 # far above any size under the face cap, far below int()'s digit limit
@@ -600,10 +603,16 @@ def flag_of_lattice(e: Expr) -> FlagVector:
 def eval_cd(e: Expr) -> dict[str, int]:
     """cd-index of an expression: its chain's cd-index steps, folded.
 
-    Virtual inputs (with D) are fine anywhere except inside prod.
+    The base is the point or a product, whose flag vector comes from its
+    factors' flag vectors and is split into its cd-index, a check of all
+    2^d entries.  Virtual inputs (with D) are fine anywhere except inside
+    prod.
     """
     base, steps = _chain(e)
-    psi = cd_index(flag_of_lattice(base)) if isinstance(base, Prod) else {"": 1}
+    if isinstance(base, Prod):
+        psi = cd_index(product_flag(eval_flag(base.left), eval_flag(base.right)))
+    else:
+        psi = {"": 1}
     for step in steps:
         psi = step.cd(psi)
     return psi

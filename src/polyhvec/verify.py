@@ -25,6 +25,7 @@ from .flagvec import (
     d_flag,
     dual_flag,
     prism_flag,
+    product_flag,
     pyramid_flag,
 )
 from .hpoly import EMPTY_KEY, HPoly, Key, KeyedPoly, ONE, X, angle
@@ -136,6 +137,10 @@ def check_oracle(max_dim: int):
     for e in sample_expressions(cap):
         if flag_of_lattice(Dual(e)) != dual_flag(flag_of_lattice(e)):
             return f"duality vs lattice reversal on {expr_str(e)}"
+        if isinstance(e, Prod):
+            f = product_flag(flag_of_lattice(e.left), flag_of_lattice(e.right))
+            if f != flag_of_lattice(e):
+                return f"product of factor flags vs product lattice on {expr_str(e)}"
     return None
 
 

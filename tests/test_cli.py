@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import validate_record
-from polyhvec import cli, flagvec
+from polyhvec import cli, flagvec, lattice
 from polyhvec.cdwords import word_flag
 from polyhvec.errors import ExprParseError, NotInCDSpanError
 from polyhvec.lattice import expr_str, face_count_bound, parse_expr
@@ -227,6 +228,45 @@ def test_change_of_basis_builds_no_word_flags(capsys, monkeypatch):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
     assert word_flag.cache_info().misses == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hvec", "prod(cube(2),simplex(3))", "--format", "json"),
+        ("flag", "prod(cube(5),simplex(4))"),
+        ("toric", "prod(dual(cube(6)),pt)"),
+        ("hvec", "prod(prod(pt,cube(2)),simplex(2))"),
+    ],
+    ids=["json", "flag", "point-factor", "nested"],
+)
+def test_products_build_no_lattice(capsys, monkeypatch, argv):
+    # a product's flag vector comes from its factors' flag vectors
+    def refuse(*_):
+        raise AssertionError("a product lattice was built or chain-counted")
+
+    monkeypatch.setattr(lattice, "_product_lattice", refuse)
+    monkeypatch.setattr(lattice, "chain_count_flag", refuse)
+    for cached in (lattice.build_lattice, lattice.flag_of_lattice, lattice.eval_flag):
+        cached.cache_clear()
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+
+def test_product_of_92584_faces_runs_in_seconds(capsys):
+    # prod(cube(6),simplex(6)) once ran for minutes on its product lattice
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "flag", "prod(cube(6),simplex(6))")
+    assert time.perf_counter() - start < 30
+    assert code == 0
+    entries = dict(line.split(": ") for line in out.splitlines())
+    cube = [math.comb(6, i) * 2 ** (6 - i) for i in range(7)]
+    simplex = [math.comb(7, i + 1) for i in range(7)]
+    faces = [
+        sum(cube[i] * simplex[k - i] for i in range(max(0, k - 6), min(6, k) + 1))
+        for k in range(12)
+    ]
+    assert [int(entries["{%d}" % k]) for k in range(12)] == faces
 
 
 @settings(max_examples=150, deadline=None)

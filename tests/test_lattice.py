@@ -19,6 +19,7 @@ from polyhvec import (
     parse_expr,
     point_flag,
     prism_flag,
+    product_flag,
     pyramid_flag,
     sample_expressions,
     total_link_vector,
@@ -291,6 +292,32 @@ def test_cd_index_evaluation_matches_flag_operators(e):
     # the cd-index steps against the flag operators, D included
     assert eval_flag(e) == operator_flag(e)
     assert cd_index(eval_flag(e)) == eval_cd(e)
+
+
+@st.composite
+def factor_pairs(draw, max_dim=6):
+    """Two buildable expressions, nested products included, of total dim <= max_dim."""
+    p = draw(st.integers(0, max_dim))
+    q = draw(st.integers(0, max_dim - p))
+    return draw(expressions(p, virtual=False)), draw(expressions(q, virtual=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_pairs())
+def test_product_flag_matches_product_lattices(pair):
+    a, b = pair
+    got = product_flag(flag_of_lattice(a), flag_of_lattice(b))
+    assert got == flag_of_lattice(Prod(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(expressions), st.integers(0, 4).flatmap(expressions))
+def test_product_flag_identities(a, b):
+    # the product is bilinear, so the identities hold for virtual vectors too
+    f, g = eval_flag(a), eval_flag(b)
+    assert product_flag(f, g) == product_flag(g, f)
+    assert product_flag(f, point_flag()) == f == product_flag(point_flag(), f)
+    assert product_flag(f, eval_flag(Cube(1))) == eval_flag(Prism(a))
 
 
 @settings(max_examples=100, deadline=None)
