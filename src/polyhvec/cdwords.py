@@ -59,9 +59,11 @@ from .flagvec import (
     FlagVector,
     d_flag,
     dim_subsets,
+    from_dense,
     linear_combine,
     point_flag,
     pyramid_flag,
+    to_dense,
 )
 from .linalg import LinearSolver
 
@@ -313,8 +315,7 @@ def _split(ab: list[int], n: int) -> dict[str, int]:
 
 def cd_index(f: FlagVector) -> dict[str, int]:
     """The cd-index of f, split from all 2^d entries; NotInCDSpanError if none."""
-    flag_f = [f.entries.get(S, 0) for S in _sets_by_mask(f.dim)]
-    return _split(_subset_sums(flag_f, f.dim, -1), f.dim)
+    return _split(_subset_sums(to_dense(f), f.dim, -1), f.dim)
 
 
 def _ab_coefficients(psi, n: int) -> list[int]:
@@ -341,15 +342,10 @@ def _subset_sums(entries: list[int], d: int, sign: int) -> list[int]:
     return entries
 
 
-@lru_cache(maxsize=None)
-def _sets_by_mask(d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(i for i in range(d) if mask >> i & 1) for mask in range(1 << d))
-
-
 def cd_index_flag(psi, d: int) -> FlagVector:
     """Flag vector of a degree-d cd-polynomial: its ab-index, then subset sums."""
     entries = _subset_sums(_ab_coefficients(psi, d), d, 1)
-    return FlagVector(d, zip(_sets_by_mask(d), entries))
+    return from_dense(d, entries)
 
 
 @lru_cache(maxsize=None)

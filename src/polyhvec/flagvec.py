@@ -13,14 +13,17 @@ Lookups use the extended convention: a query set may mention -1 (the
 empty face) and d (the body itself), and both are deleted before the
 lookup, because every chain of proper faces extends uniquely by those
 two.  This makes the chain-splice formulas for the pyramid and prism
-operators uniform; the formulas themselves are cross-checked against
-lattice chain counting in the test suite, which is the source of truth
-for them.
+operators uniform.  The operators run them on dense lists indexed by
+bitmask (bit i set iff i is in S, see `sets_by_mask`), where the
+deletion is a shift and a mask.  The formulas themselves are
+cross-checked against lattice chain counting in the test suite, which is
+the source of truth for them.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 
 def dim_subsets(d: int):
@@ -121,12 +124,34 @@ def linear_combine(terms) -> FlagVector:
     return FlagVector(dim, acc)
 
 
-def _splice(lower, upper):
-    # lower comes from base faces, upper from lifted faces with dimensions
-    # already lowered by one; the two may share exactly their boundary value
-    if lower and upper and lower[-1] == upper[0]:
-        return lower + upper[1:]
-    return lower + upper
+@lru_cache(maxsize=None)
+def sets_by_mask(d: int) -> tuple[tuple[int, ...], ...]:
+    """The dimension sets of a dimension-d flag vector, indexed by bitmask."""
+    return tuple(
+        tuple(i for i in range(d) if mask >> i & 1) for mask in range(1 << max(d, 0))
+    )
+
+
+def to_dense(f: FlagVector) -> list[int]:
+    """The entries of f as a list indexed by bitmask."""
+    return [f.entries.get(S, 0) for S in sets_by_mask(f.dim)]
+
+
+def from_dense(d: int, dense) -> FlagVector:
+    return FlagVector(d, zip(sets_by_mask(d), dense))
+
+
+def _splices(f: list[int], d: int, prism: bool) -> list[int]:
+    """Sum f over the cuts of each set S, made by clearing the lowest bit."""
+    body, twice = (1 << max(d, 0)) - 1, 2 if prism else 1
+    out = []
+    for S in range(1 << (d + 1)):
+        total, rest = (0 if prism and S & 1 else f[S >> 1]), S
+        while rest:
+            rest &= rest - 1
+            total += twice * f[(S ^ rest | rest >> 1) & body]
+        out.append(total)
+    return out
 
 
 def pyramid_flag(f: FlagVector) -> FlagVector:
@@ -138,17 +163,14 @@ def pyramid_flag(f: FlagVector) -> FlagVector:
     dimensions by one turns both pieces into one chain in the base, where
     the two pieces may share their splice face; the extended lookup then
     counts each case with a single entry.
+
+    On bitmasks, a cut of S leaves `lower` (the bits below it) and `upper`
+    (the rest), and the spliced set is (lower | upper >> 1) & body, with
+    body = 2^d - 1: the shift lowers the joins and drops the bare apex
+    (-1), the mask drops the base (d), and as every lowered join lies at
+    or above the top of `lower`, the union merges exactly a shared face.
     """
-    d = f.dim
-    entries = {}
-    for S in dim_subsets(d + 1):
-        total = 0
-        for cut in range(len(S) + 1):
-            lower = S[:cut]
-            upper = tuple(t - 1 for t in S[cut:])
-            total += f.get(_splice(lower, upper))
-        entries[S] = total
-    return FlagVector(d + 1, entries)
+    return from_dense(f.dim + 1, _splices(to_dense(f), f.dim, False))
 
 
 def prism_flag(f: FlagVector) -> FlagVector:
@@ -159,29 +181,22 @@ def prism_flag(f: FlagVector) -> FlagVector:
     splits whose swept chain would start at dimension zero contribute
     nothing, and a nonempty endpoint part carries a factor two for the
     choice of endpoint.
+
+    The spliced set of a cut is the pyramid's, (lower | upper >> 1) & body.
+    Only cut 0 can start the swept chain at dimension zero, so it is
+    skipped when bit 0 of S is set, and every later cut, with `lower`
+    nonempty, counts twice.
     """
     if f.dim < 0:
         raise ValueError("prism of the empty polytope is undefined")
-    d = f.dim
-    entries = {}
-    for S in dim_subsets(d + 1):
-        total = 0
-        for cut in range(len(S) + 1):
-            upper_src = S[cut:]
-            if upper_src and upper_src[0] == 0:
-                continue
-            lower = S[:cut]
-            upper = tuple(t - 1 for t in upper_src)
-            count = f.get(_splice(lower, upper))
-            total += 2 * count if lower else count
-        entries[S] = total
-    return FlagVector(d + 1, entries)
+    return from_dense(f.dim + 1, _splices(to_dense(f), f.dim, True))
 
 
 def d_flag(f: FlagVector) -> FlagVector:
     """Prism-of-pyramid minus pyramid-of-pyramid; raises the dimension by two."""
-    cone = pyramid_flag(f)
-    return linear_combine([(1, prism_flag(cone)), (-1, pyramid_flag(cone))])
+    cone, d = _splices(to_dense(f), f.dim, False), f.dim + 1
+    both = zip(_splices(cone, d, True), _splices(cone, d, False))
+    return from_dense(d + 1, [a - b for a, b in both])
 
 
 def product_flag(f: FlagVector, g: FlagVector) -> FlagVector:
@@ -225,20 +240,15 @@ def product_flag(f: FlagVector, g: FlagVector) -> FlagVector:
                     continue
                 for S, n in counts.items():
                     grown[S | bit] = grown.get(S | bit, 0) + n
-    f_at = {_mask(S): v for S, v in f.entries.items()}
-    g_at = {_mask(S): v for S, v in g.entries.items()}
+    f_at, g_at = to_dense(f), to_dense(g)
     below_p, below_q = (1 << p) - 1, (1 << q) - 1
-    total = {}
+    total = [0] * (1 << (p + q))
     for (A, B), counts in groups.items():
-        weight = f_at.get(A & below_p, 0) * g_at.get(B & below_q, 0)
+        weight = f_at[A & below_p] * g_at[B & below_q]
         if weight:
             for S, n in counts.items():
-                total[S] = total.get(S, 0) + weight * n
-    return FlagVector(p + q, {S: total.get(_mask(S), 0) for S in dim_subsets(p + q)})
-
-
-def _mask(S) -> int:
-    return sum(1 << t for t in S)
+                total[S] += weight * n
+    return from_dense(p + q, total)
 
 
 def dual_flag(f: FlagVector) -> FlagVector:

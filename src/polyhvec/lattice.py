@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from .cdwords import cd_index, cd_index_flag, diamond_cd, dual_cd, prism_cd, pyramid_cd
 from .errors import ExprParseError, FaceCountLimitError
-from .flagvec import FlagVector, GradedFlagVector, dim_subsets, product_flag
+from .flagvec import FlagVector, GradedFlagVector, from_dense, product_flag
 
 DEFAULT_FACE_CAP = 10**6
 # far above any size under the face cap, far below int()'s digit limit
@@ -514,13 +514,7 @@ def chain_count_flag(L: FaceLattice) -> FlagVector:
         memo[key] = total
         return total
 
-    entries = {}
-    for S in dim_subsets(d):
-        mask = 0
-        for t in S:
-            mask |= 1 << t
-        entries[S] = chains(L.top, mask)
-    return FlagVector(d, entries)
+    return from_dense(d, [chains(L.top, mask) for mask in range(1 << d)])
 
 
 def interval_lattice(L: FaceLattice, lo: int, hi: int) -> FaceLattice:

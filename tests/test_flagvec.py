@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyhvec import (
     FlagVector,
     GradedFlagVector,
     c_on_graded,
     d_flag,
+    dim_subsets,
     dual_flag,
     empty_flag,
     linear_combine,
@@ -126,18 +129,87 @@ def test_dual_examples():
         dual_flag(empty_flag())
 
 
+def random_flag(rng, d):
+    return FlagVector(d, {S: rng.randint(-5, 5) for S in dim_subsets(d)})
+
+
 def test_operators_are_linear():
+    # dims 0-6 and D outputs up to dim 6, so the cut loops run many cuts
     rng = random.Random(20240201)
     pool = [SEGMENT, d_flag(empty_flag()), prism_flag(point_flag())]
+    pool += [random_flag(rng, d) for d in range(7) for _ in range(2)]
+    pool += [d_flag(f) for f in pool if f.dim <= 4]
     ops = [pyramid_flag, prism_flag, d_flag, dual_flag]
-    for _ in range(25):
+    for _ in range(40):
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-        f, g = rng.choice(pool), rng.choice(pool)
+        f = rng.choice(pool)
+        g = rng.choice([h for h in pool if h.dim == f.dim])
         combo = linear_combine([(a, f), (b, g)])
         for op in ops:
             lhs = op(combo)
             rhs = linear_combine([(a, op(f)), (b, op(g))])
             assert lhs == rhs, op.__name__
+
+
+def _splice(lower, upper):
+    # lower comes from base faces, upper from lifted faces with dimensions
+    # already lowered by one; the two may share exactly their boundary value
+    if lower and upper and lower[-1] == upper[0]:
+        return lower + upper[1:]
+    return lower + upper
+
+
+def splice_pyramid(f):
+    """The pyramid's chain-splice sum written out on tuple keys."""
+    d = f.dim
+    entries = {}
+    for S in dim_subsets(d + 1):
+        total = 0
+        for cut in range(len(S) + 1):
+            lower = S[:cut]
+            upper = tuple(t - 1 for t in S[cut:])
+            total += f.get(_splice(lower, upper))
+        entries[S] = total
+    return FlagVector(d + 1, entries)
+
+
+def splice_prism(f):
+    """The prism's chain-splice sum written out on tuple keys."""
+    d = f.dim
+    entries = {}
+    for S in dim_subsets(d + 1):
+        total = 0
+        for cut in range(len(S) + 1):
+            upper_src = S[cut:]
+            if upper_src and upper_src[0] == 0:
+                continue
+            lower = S[:cut]
+            upper = tuple(t - 1 for t in upper_src)
+            count = f.get(_splice(lower, upper))
+            total += 2 * count if lower else count
+        entries[S] = total
+    return FlagVector(d + 1, entries)
+
+
+@st.composite
+def integer_flags(draw):
+    """Random integer flag vectors of dim -1..8, sparse or dense."""
+    d = draw(st.integers(-1, 8))
+    sets, values = dim_subsets(d), st.integers(-30, 30)
+    if draw(st.booleans()):
+        return FlagVector(d, draw(st.dictionaries(st.sampled_from(sets), values)))
+    dense = st.lists(values, min_size=len(sets), max_size=len(sets))
+    return FlagVector(d, zip(sets, draw(dense)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_flags())
+def test_operators_match_the_splice_formulas(f):
+    assert pyramid_flag(f) == splice_pyramid(f)
+    cone = splice_pyramid(f)
+    assert d_flag(f) == splice_prism(cone) - splice_pyramid(cone)
+    if f.dim >= 0:
+        assert prism_flag(f) == splice_prism(f)
 
 
 def test_graded_vectors_and_c_shift():
