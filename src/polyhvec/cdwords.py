@@ -59,11 +59,9 @@ from .flagvec import (
     FlagVector,
     d_flag,
     dim_subsets,
-    from_dense,
     linear_combine,
     point_flag,
     pyramid_flag,
-    to_dense,
 )
 from .linalg import LinearSolver
 
@@ -315,7 +313,7 @@ def _split(ab: list[int], n: int) -> dict[str, int]:
 
 def cd_index(f: FlagVector) -> dict[str, int]:
     """The cd-index of f, split from all 2^d entries; NotInCDSpanError if none."""
-    return _split(_subset_sums(to_dense(f), f.dim, -1), f.dim)
+    return _split(_subset_sums(list(f.values), f.dim, -1), f.dim)
 
 
 def _ab_coefficients(psi, n: int) -> list[int]:
@@ -344,8 +342,7 @@ def _subset_sums(entries: list[int], d: int, sign: int) -> list[int]:
 
 def cd_index_flag(psi, d: int) -> FlagVector:
     """Flag vector of a degree-d cd-polynomial: its ab-index, then subset sums."""
-    entries = _subset_sums(_ab_coefficients(psi, d), d, 1)
-    return from_dense(d, entries)
+    return FlagVector.from_values(d, _subset_sums(_ab_coefficients(psi, d), d, 1))
 
 
 @lru_cache(maxsize=None)

@@ -2,22 +2,21 @@
 
 A flag vector of dimension d records, for each set S of dimensions in
 0..d-1, how many chains of nonempty proper faces have dimension set
-exactly S.  Entries are exact integers, stored sparsely (absent set =
-zero), keyed by sorted tuples.  The operators below are linear maps and
-happily produce *virtual* vectors (for example the two-dimensional value
-of the diamond operator on a point has an empty-chain count of zero); no
-polytopality is assumed anywhere.  `product_flag`, the flag vector of
-a product from its factors', is bilinear.
+exactly S.  Entries are exact integers, stored densely: one tuple of
+2^d values indexed by bitmask (bit i set iff i is in S, see
+`sets_by_mask`).  The operators below are linear maps and happily
+produce *virtual* vectors (for example the two-dimensional value of the
+diamond operator on a point has an empty-chain count of zero); no
+polytopality is assumed anywhere.  `product_flag`, the flag vector of a
+product from its factors', is bilinear.
 
 Lookups use the extended convention: a query set may mention -1 (the
 empty face) and d (the body itself), and both are deleted before the
 lookup, because every chain of proper faces extends uniquely by those
 two.  This makes the chain-splice formulas for the pyramid and prism
-operators uniform.  The operators run them on dense lists indexed by
-bitmask (bit i set iff i is in S, see `sets_by_mask`), where the
-deletion is a shift and a mask.  The formulas themselves are
-cross-checked against lattice chain counting in the test suite, which is
-the source of truth for them.
+operators uniform.  On bitmasks the deletion is a shift and a mask.  The
+formulas themselves are cross-checked against lattice chain counting in
+the test suite, which is the source of truth for them.
 """
 
 from __future__ import annotations
@@ -34,43 +33,70 @@ def dim_subsets(d: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def sets_by_mask(d: int) -> tuple[tuple[int, ...], ...]:
+    """The dimension sets of a dimension-d flag vector, indexed by bitmask."""
+    return tuple(
+        tuple(i for i in range(d) if mask >> i & 1) for mask in range(1 << max(d, 0))
+    )
+
+
 class FlagVector:
-    __slots__ = ("dim", "entries")
+    """`dim` and the 2^max(dim, 0) entries, a tuple `values` by bitmask.
+
+    Built from a mapping of strictly increasing tuples (absent sets are
+    zero), with every key checked, or by `from_values` from the tuple.
+    """
+
+    __slots__ = ("dim", "values")
 
     def __init__(self, dim: int, entries=()):
         if dim < -1:
             raise ValueError(f"dimension must be >= -1, got {dim}")
-        clean = {}
+        values = [0] * (1 << max(dim, 0))
         for dims, value in dict(entries).items():
             key = tuple(dims)
             if any(key[t + 1] <= key[t] for t in range(len(key) - 1)):
                 raise ValueError(f"dimension set {key} is not strictly increasing")
             if key and (key[0] < 0 or key[-1] >= dim):
                 raise ValueError(f"dimension set {key} out of range for dim {dim}")
-            if value:
-                clean[key] = value
-        self.dim = dim
-        self.entries = clean
+            values[sum(1 << t for t in key)] = value
+        self.dim, self.values = dim, tuple(values)
+
+    @classmethod
+    def from_values(cls, dim: int, values) -> "FlagVector":
+        """The flag vector with these values; only their number is checked."""
+        f = cls.__new__(cls)
+        f.dim, f.values = dim, tuple(values)
+        if dim < -1 or len(f.values) != 1 << max(dim, 0):
+            raise ValueError(f"{len(f.values)} values do not fit dimension {dim}")
+        return f
+
+    @property
+    def entries(self) -> dict:
+        """The nonzero entries, keyed by sorted tuples (a new dict per call)."""
+        return {S: v for S, v in zip(sets_by_mask(self.dim), self.values) if v}
 
     def get(self, dims) -> int:
-        """Entry lookup with the extended convention (-1 and dim are ignored)."""
-        key = []
+        """Lookup ignoring -1 and dim; a set not strictly increasing reads 0."""
+        d, mask, late = self.dim, 0, 0
         for t in dims:
-            if t < -1 or t > self.dim:
-                raise ValueError(f"dimension {t} outside -1..{self.dim}")
-            if 0 <= t < self.dim:
-                key.append(t)
-        return self.entries.get(tuple(key), 0)
+            if 0 <= t < d:
+                late |= mask >> t  # an earlier element at or above t
+                mask |= 1 << t
+            elif t != -1 and t != d:
+                raise ValueError(f"dimension {t} outside -1..{d}")
+        return 0 if late else self.values[mask]
 
     def items(self):
-        """Stored (dimension set, value) pairs, shortest sets first."""
+        """Nonzero (dimension set, value) pairs, shortest sets first."""
         return sorted(self.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.values)
 
     def scaled(self, c) -> "FlagVector":
-        return FlagVector(self.dim, {S: c * v for S, v in self.entries.items()})
+        return FlagVector.from_values(self.dim, [c * v for v in self.values])
 
     def __add__(self, other):
         return linear_combine([(1, self), (1, other)])
@@ -87,11 +113,11 @@ class FlagVector:
         return (
             isinstance(other, FlagVector)
             and self.dim == other.dim
-            and self.entries == other.entries
+            and self.values == other.values
         )
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.entries.items())))
+        return hash((self.dim, self.values))
 
     def __repr__(self):
         body = ", ".join(f"{set(S) if S else '{}'}: {v}" for S, v in self.items())
@@ -113,35 +139,16 @@ def linear_combine(terms) -> FlagVector:
     if not terms:
         raise ValueError("linear_combine needs at least one term")
     dim = terms[0][1].dim
-    acc = {}
+    acc = [0] * (1 << max(dim, 0))
     for c, f in terms:
         if f.dim != dim:
             raise ValueError(f"dimension mismatch: {f.dim} vs {dim}")
-        if not c:
-            continue
-        for S, v in f.entries.items():
-            acc[S] = acc.get(S, 0) + c * v
-    return FlagVector(dim, acc)
+        if c:
+            acc = [a + c * v for a, v in zip(acc, f.values)]
+    return FlagVector.from_values(dim, acc)
 
 
-@lru_cache(maxsize=None)
-def sets_by_mask(d: int) -> tuple[tuple[int, ...], ...]:
-    """The dimension sets of a dimension-d flag vector, indexed by bitmask."""
-    return tuple(
-        tuple(i for i in range(d) if mask >> i & 1) for mask in range(1 << max(d, 0))
-    )
-
-
-def to_dense(f: FlagVector) -> list[int]:
-    """The entries of f as a list indexed by bitmask."""
-    return [f.entries.get(S, 0) for S in sets_by_mask(f.dim)]
-
-
-def from_dense(d: int, dense) -> FlagVector:
-    return FlagVector(d, zip(sets_by_mask(d), dense))
-
-
-def _splices(f: list[int], d: int, prism: bool) -> list[int]:
+def _splices(f: tuple[int, ...] | list[int], d: int, prism: bool) -> list[int]:
     """Sum f over the cuts of each set S, made by clearing the lowest bit."""
     body, twice = (1 << max(d, 0)) - 1, 2 if prism else 1
     out = []
@@ -170,7 +177,7 @@ def pyramid_flag(f: FlagVector) -> FlagVector:
     (-1), the mask drops the base (d), and as every lowered join lies at
     or above the top of `lower`, the union merges exactly a shared face.
     """
-    return from_dense(f.dim + 1, _splices(to_dense(f), f.dim, False))
+    return FlagVector.from_values(f.dim + 1, _splices(f.values, f.dim, False))
 
 
 def prism_flag(f: FlagVector) -> FlagVector:
@@ -189,14 +196,14 @@ def prism_flag(f: FlagVector) -> FlagVector:
     """
     if f.dim < 0:
         raise ValueError("prism of the empty polytope is undefined")
-    return from_dense(f.dim + 1, _splices(to_dense(f), f.dim, True))
+    return FlagVector.from_values(f.dim + 1, _splices(f.values, f.dim, True))
 
 
 def d_flag(f: FlagVector) -> FlagVector:
     """Prism-of-pyramid minus pyramid-of-pyramid; raises the dimension by two."""
-    cone, d = _splices(to_dense(f), f.dim, False), f.dim + 1
+    cone, d = _splices(f.values, f.dim, False), f.dim + 1
     both = zip(_splices(cone, d, True), _splices(cone, d, False))
-    return from_dense(d + 1, [a - b for a, b in both])
+    return FlagVector.from_values(d + 1, [a - b for a, b in both])
 
 
 def product_flag(f: FlagVector, g: FlagVector) -> FlagVector:
@@ -240,26 +247,25 @@ def product_flag(f: FlagVector, g: FlagVector) -> FlagVector:
                     continue
                 for S, n in counts.items():
                     grown[S | bit] = grown.get(S | bit, 0) + n
-    f_at, g_at = to_dense(f), to_dense(g)
     below_p, below_q = (1 << p) - 1, (1 << q) - 1
     total = [0] * (1 << (p + q))
     for (A, B), counts in groups.items():
-        weight = f_at[A & below_p] * g_at[B & below_q]
+        weight = f.values[A & below_p] * g.values[B & below_q]
         if weight:
             for S, n in counts.items():
                 total[S] += weight * n
-    return from_dense(p + q, total)
+    return FlagVector.from_values(p + q, total)
 
 
 def dual_flag(f: FlagVector) -> FlagVector:
-    """Reverse every dimension set: S goes to {d-1-s for s in S}."""
+    """Reverse every dimension set: S goes to {d-1-s for s in S}, a bit reversal."""
     if f.dim < 0:
         raise ValueError("duality needs dimension >= 0")
     d = f.dim
-    entries = {}
-    for S, v in f.entries.items():
-        entries[tuple(sorted(d - 1 - s for s in S))] = v
-    return FlagVector(d, entries)
+    reverse = [0] * (1 << d)
+    for mask in range(1, 1 << d):
+        reverse[mask] = reverse[mask >> 1] >> 1 | (mask & 1) << (d - 1)
+    return FlagVector.from_values(d, [f.values[r] for r in reverse])
 
 
 class GradedFlagVector:

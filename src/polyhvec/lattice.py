@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from .cdwords import cd_index, cd_index_flag, diamond_cd, dual_cd, prism_cd, pyramid_cd
 from .errors import ExprParseError, FaceCountLimitError
-from .flagvec import FlagVector, GradedFlagVector, from_dense, product_flag
+from .flagvec import FlagVector, GradedFlagVector, product_flag
 
 DEFAULT_FACE_CAP = 10**6
 # far above any size under the face cap, far below int()'s digit limit
@@ -465,9 +465,6 @@ def build_lattice(e: Expr, max_faces: int = DEFAULT_FACE_CAP) -> FaceLattice:
 def chain_count_flag(L: FaceLattice) -> FlagVector:
     """Count chains of nonempty proper faces, grouped by dimension set."""
     d = L.dim
-    if L.top == L.bottom:
-        return FlagVector(-1, {(): 1})
-
     levels = [L.faces_of_dim(k) for k in range(-1, d + 1)]
     pos = [0] * len(L)
     for level in levels:
@@ -514,7 +511,7 @@ def chain_count_flag(L: FaceLattice) -> FlagVector:
         memo[key] = total
         return total
 
-    return from_dense(d, [chains(L.top, mask) for mask in range(1 << d)])
+    return FlagVector.from_values(d, [chains(L.top, m) for m in range(1 << max(d, 0))])
 
 
 def interval_lattice(L: FaceLattice, lo: int, hi: int) -> FaceLattice:

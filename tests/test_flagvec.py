@@ -17,6 +17,7 @@ from polyhvec import (
     prism_flag,
     pyramid_flag,
 )
+from polyhvec.flagvec import sets_by_mask
 
 SEGMENT = pyramid_flag(point_flag())
 TRIANGLE = pyramid_flag(SEGMENT)
@@ -39,6 +40,8 @@ def test_constructor_rejects_bad_dimsets():
         FlagVector(2, {(-1,): 1})
     with pytest.raises(ValueError):
         FlagVector(-2, {})
+    with pytest.raises(ValueError):
+        FlagVector.from_values(-2, [1])
 
 
 def test_extended_get_deletes_boundary_dims():
@@ -192,14 +195,19 @@ def splice_prism(f):
 
 
 @st.composite
-def integer_flags(draw):
-    """Random integer flag vectors of dim -1..8, sparse or dense."""
+def flag_entries(draw):
+    """A dim -1..8 and integer entries keyed by its dimension sets, sparse or dense."""
     d = draw(st.integers(-1, 8))
     sets, values = dim_subsets(d), st.integers(-30, 30)
     if draw(st.booleans()):
-        return FlagVector(d, draw(st.dictionaries(st.sampled_from(sets), values)))
+        return d, draw(st.dictionaries(st.sampled_from(sets), values))
     dense = st.lists(values, min_size=len(sets), max_size=len(sets))
-    return FlagVector(d, zip(sets, draw(dense)))
+    return d, dict(zip(sets, draw(dense)))
+
+
+def integer_flags():
+    """Random integer flag vectors of dim -1..8, sparse or dense."""
+    return flag_entries().map(lambda entries: FlagVector(*entries))
 
 
 @settings(max_examples=80, deadline=None)
@@ -210,6 +218,39 @@ def test_operators_match_the_splice_formulas(f):
     assert d_flag(f) == splice_prism(cone) - splice_pyramid(cone)
     if f.dim >= 0:
         assert prism_flag(f) == splice_prism(f)
+
+
+def lookup_spec(entries, d, dims):
+    """The extended lookup written on a dict keyed by sorted tuples."""
+    if any(t < -1 or t > d for t in dims):
+        raise ValueError(dims)
+    return entries.get(tuple(t for t in dims if 0 <= t < d), 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(flag_entries(), st.data())
+def test_mapping_and_value_constructors_agree(drawn, data):
+    d, entries = drawn
+    nonzero = {S: v for S, v in entries.items() if v}
+    built = FlagVector(d, entries)
+    dense = FlagVector.from_values(d, [entries.get(S, 0) for S in sets_by_mask(d)])
+    assert built == dense
+    assert built.entries == dense.entries == nonzero
+    in_order = [(S, nonzero[S]) for S in dim_subsets(d) if S in nonzero]
+    assert built.items() == dense.items() == in_order
+    assert hash(built) == hash(dense)
+    assert repr(built) == repr(dense)
+    # unsorted and repeated elements too, and -1 and d anywhere
+    query = st.lists(st.integers(-1, d), max_size=max(d, 0) + 3)
+    for dims in data.draw(st.lists(query, max_size=20)):
+        for q in (dims, sorted(set(dims))):
+            assert dense.get(q) == lookup_spec(entries, d, q), q
+    for dims in ([-2], [d + 1], [0, d + 1], [d + 1, 0, 0]):
+        with pytest.raises(ValueError):
+            dense.get(dims)
+    for wrong in (dense.values[:-1], dense.values + (0,)):
+        with pytest.raises(ValueError):
+            FlagVector.from_values(d, wrong)
 
 
 def test_graded_vectors_and_c_shift():

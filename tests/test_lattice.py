@@ -15,6 +15,7 @@ from polyhvec import (
     expr_dim,
     expr_str,
     is_eulerian,
+    linear_combine,
     link_flag,
     parse_expr,
     point_flag,
@@ -24,7 +25,7 @@ from polyhvec import (
     sample_expressions,
     total_link_vector,
 )
-from polyhvec.cdwords import cd_index
+from polyhvec.cdwords import _subset_sums, cd_index
 from polyhvec.flagvec import GradedFlagVector, c_on_graded
 from polyhvec.lattice import (
     Bipyr,
@@ -138,6 +139,8 @@ def test_chain_count_examples():
     assert cube3.get((0, 1, 2)) == 2 * cube3.get((0, 1))
     bp = chain_count_flag(build_lattice(Bipyr(Simplex(3))))
     assert [bp.get((i,)) for i in range(4)] == [6, 14, 16, 8]
+    square = build_lattice(Cube(2))  # the link of the body: a one-face lattice
+    assert link_flag(square, square.top) == empty_flag()
 
 
 def test_lattices_are_graded_and_eulerian_small():
@@ -165,6 +168,22 @@ def test_operator_oracle_small_dims():
 def test_eval_flag_agrees_with_chain_counting():
     for e in sample_expressions(4):
         assert eval_flag(e) == chain_count_flag(build_lattice(e))
+
+
+def test_cached_flag_vectors_do_not_change_through_aliases():
+    # both caches hand every caller the same vector; the operators must
+    # leave its values alone
+    for e in (Cube(3), Dual(Cone(Cube(2))), Prod(Simplex(2), Cube(2))):
+        for cached in (eval_flag, flag_of_lattice):
+            f = cached(e)
+            cd_index(f)
+            product_flag(f, f)
+            dual_flag(f)
+            linear_combine([(2, f), (-1, f)])
+            assert cached(e) is f
+            assert f == cached.__wrapped__(e)
+    with pytest.raises(TypeError):  # the values are a tuple
+        _subset_sums(eval_flag(Cube(3)).values, 3, -1)
 
 
 def test_link_examples():
