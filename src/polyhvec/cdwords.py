@@ -28,7 +28,8 @@ the positions of its sparse set.
   (Stanley, Math. Z. 216, 1994).  `word_cd` folds the pyramid and the
   diamond over a word, with no flag vector built: CCC folds to
   c^3 + 2cd + 2dc, and D to d.
-* Split (`cd_index`): inclusion-exclusion turns all 2^d flag entries
+* Split (`cd_index`), only where a flag vector comes in (a product's
+  base, `to_cd_basis`): inclusion-exclusion turns all 2^d flag entries
   into the dense ab-index.  Write Psi = cX + dY with X of degree d - 1
   and Y of degree d - 2.  After a leading a the ab-index reads X + bY,
   after a leading b it reads X + aY; so the words starting ab and bb fix
@@ -38,10 +39,12 @@ the positions of its sparse set.
   By induction on the degree, recursing on X and Y returns the cd-index
   when one exists, and it is unique; otherwise the split raises
   `NotInCDSpanError` at the first level that disagrees.
-* Solve (`_basis_solver`): P_d, whose rows are the cd-indices of the
-  degree-d words, has an integer inverse.  Its determinant is +1 or -1 by
-  computation, not by proof: `LinearSolver` checks it at every degree it
-  is built for.
+* Solve (`cd_coordinates`), the only code that turns a cd-index into
+  CD-coordinates; an expression's cd-index goes there with no split.
+  P_d, whose rows are the cd-indices of the degree-d words, has an
+  integer inverse.  Its determinant is +1 or -1 by computation, not by
+  proof: `LinearSolver` checks it at every degree it is built for
+  (`_basis_solver`).
 
 MAX_BASIS_DEGREE = 12 is a resource cap: at d = 12 the fold takes about
 0.8 s and inverting P_12 about 5 s (one 2-vCPU machine, in-process).
@@ -354,11 +357,15 @@ def _basis_solver(d: int) -> LinearSolver:
     return LinearSolver([list(col) for col in zip(*rows)])
 
 
+def cd_coordinates(psi, d: int) -> CDVector:
+    """CD-coordinates of a degree-d cd-polynomial: the one solve against P_d."""
+    x = _basis_solver(d).solve([psi.get(m, 0) for m in cd_monomials(d)])
+    return CDVector(d, dict(zip(cd_words(d), x)))
+
+
 def to_cd_basis(f: FlagVector) -> CDVector:
     """Exact CD-coordinates of a flag vector; error when none exist."""
     if f.dim < 0:
         raise ValueError("CD-coordinates need dimension >= 0")
-    solver = _basis_solver(f.dim)
-    psi = cd_index(f)
-    x = solver.solve([psi.get(m, 0) for m in cd_monomials(f.dim)])
-    return CDVector(f.dim, dict(zip(cd_words(f.dim), x)))
+    check_basis_degree(f.dim)
+    return cd_coordinates(cd_index(f), f.dim)

@@ -7,7 +7,8 @@ line with the fixed field order input/dim/flag/h/toric; all numbers are
 exact integers.
 
 Exit codes: 0 ok, 1 verify failure, 2 parse/usage error, 3 face-count
-cap or change-of-basis degree limit exceeded, 4 input outside the CD span.
+cap or change-of-basis degree limit exceeded, 4 input outside the CD span
+(only a product's flag vector, split into its cd-index, can be).
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import sys
 
 from .cdwords import (
     basis_matrix,
+    cd_coordinates,
     cd_index_flag,
     cd_words,
     check_basis_degree,
-    to_cd_basis,
     word_cd,
     word_vector,
 )
@@ -30,6 +31,7 @@ from .flagvec import dim_subsets
 from .hvector import h_of_cdvector, toric_of_cdvector
 from .lattice import (
     DEFAULT_FACE_CAP,
+    eval_cd,
     eval_flag,
     expr_dim,
     face_count_bound,
@@ -80,11 +82,12 @@ def cmd_single(args) -> int:
         for S in dim_subsets(flag.dim):
             out.write(f"{format_dimset(S)}: {flag.get(S)}\n")
         return EXIT_OK
-    check_basis_degree(expr_dim(expr))  # the rest needs CD-coordinates
-    flag = eval_flag(expr)
-    cd = to_cd_basis(flag)
+    d = expr_dim(expr)
+    check_basis_degree(d)  # the rest needs CD-coordinates
+    psi = eval_cd(expr)
+    cd = cd_coordinates(psi, d)
     if args.format == "json":
-        out.write(_dump(full_record(args.input, flag, cd)) + "\n")
+        out.write(_dump(full_record(args.input, cd_index_flag(psi, d), cd)) + "\n")
     elif args.command == "hvec":
         out.write(f"{h_of_cdvector(cd)}\n")
     else:

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,95 @@ def test_exact_linalg_helpers():
         LinearSolver([[1, 1], [1, 1]])
     with pytest.raises(ValueError):  # invertible, but not over the integers
         LinearSolver([[2, 0], [0, 1]])
+    for ragged in ([[1, 0], [0]], [[1], [0, 1]]):
+        for helper in (mat_rank, mat_det, pivot_rows, LinearSolver):
+            with pytest.raises(ValueError):
+                helper(ragged)
+
+
+def fraction_gauss_jordan(rows):
+    """Spec: reduced row echelon form over the rationals.
+
+    Returns (reduced rows, pivot columns, the product of the pivots with
+    the sign of the swaps: the determinant of a square matrix of full rank).
+    """
+    work = [[Fraction(v) for v in row] for row in rows]
+    pivots, det = [], Fraction(1)
+    for col in range(len(work[0]) if work else 0):
+        k = len(pivots)
+        pivot = next((i for i in range(k, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != k:
+            work[k], work[pivot] = work[pivot], work[k]
+            det = -det
+        det *= work[k][col]
+        work[k] = [v / work[k][col] for v in work[k]]
+        for i, row in enumerate(work):
+            if i != k:
+                work[i] = [a - row[col] * b for a, b in zip(row, work[k])]
+        pivots.append(col)
+    return work, pivots, det
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices, often rank-deficient or with zero columns."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        ncols = nrows
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    for i in draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+        j, a = draw(st.integers(0, nrows - 1)), draw(st.integers(-2, 2))
+        rows[i] = [a * x + y for x, y in zip(rows[j], rows[(j + 1) % nrows])]
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for r in rows:
+            r[j] = 0
+    return rows
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """A signed permutation times random integer row additions."""
+    n = draw(st.integers(1, 5))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    rows = [[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)]
+    index = st.integers(0, n - 1)
+    additions = st.tuples(index, index, st.integers(-2, 2))
+    for i, j, c in draw(st.lists(additions, max_size=6)):
+        if i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(integer_matrices(), unimodular_matrices()), st.data())
+def test_linalg_matches_fraction_gauss_jordan(rows, data):
+    n, m = len(rows), len(rows[0])
+    _, pivots, det = fraction_gauss_jordan(rows)
+    rank = len(pivots)
+    assert mat_rank(rows) == rank
+    if m == rank:
+        chosen = pivot_rows(rows)
+        assert len(set(chosen)) == m
+        assert len(fraction_gauss_jordan([rows[i] for i in chosen])[1]) == m
+    else:
+        with pytest.raises(ValueError):
+            pivot_rows(rows)
+    if n != m:
+        with pytest.raises(ValueError):
+            mat_det(rows)
+        return
+    assert mat_det(rows) == (det if rank == n else 0)
+    if det not in (1, -1) or rank < n:
+        with pytest.raises(ValueError):
+            LinearSolver(rows)
+        return
+    b = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    x = fraction_gauss_jordan([row + [v] for row, v in zip(rows, b)])[0]
+    assert LinearSolver(rows).solve(b) == [r[-1] for r in x]
 
 
 def test_sparse_sets_give_unimodular_rows():

@@ -14,9 +14,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import validate_record
-from polyhvec import cli, flagvec, lattice
+from polyhvec import cdwords, cli, flagvec, lattice
 from polyhvec.cdwords import word_flag
-from polyhvec.errors import ExprParseError, NotInCDSpanError
+from polyhvec.errors import ExprParseError
+from polyhvec.flagvec import FlagVector
 from polyhvec.lattice import expr_str, face_count_bound, parse_expr
 from test_lattice import EDITS, any_expression, apply_edits
 
@@ -203,6 +204,37 @@ def test_change_of_basis_degree_limit_fails_fast(capsys, argv):
     assert "degree" in err
 
 
+def test_expressions_take_no_split_round_trip(capsys, monkeypatch):
+    # hvec, toric and JSON solve an expression's cd-index as it is: no flag
+    # vector is split back into a cd-index, and no flag vector is turned
+    # into flag h-numbers (subset sums with sign -1); JSON still expands
+    # the cd-index forward (sign 1) to print the flag entries
+    subset_sums = cdwords._subset_sums
+
+    def forward_only(entries, d, sign):
+        if sign != 1:
+            raise AssertionError("flag entries were turned back into h-numbers")
+        return subset_sums(entries, d, sign)
+
+    def refuse(*_):
+        raise AssertionError("a flag vector was split into its cd-index")
+
+    for name, module in list(sys.modules.items()):
+        if name == "polyhvec" or name.startswith("polyhvec."):
+            for attr, value in list(vars(module).items()):
+                if value is cdwords.cd_index:
+                    monkeypatch.setattr(module, attr, refuse)
+                elif value is subset_sums:
+                    monkeypatch.setattr(module, attr, forward_only)
+    for argv in (
+        ("hvec", "cube(10)"),
+        ("toric", "DDDDD(pt)"),
+        ("hvec", "B(crosspoly(5))", "--format", "json"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+
+
 def test_change_of_basis_builds_no_word_flags(capsys, monkeypatch):
     # evaluation and CD-coordinates run on the cd-index; the flag operators
     # and word flags are the oracle only
@@ -357,12 +389,13 @@ def test_tracer_still_binds_the_package():
 
 
 def test_span_exit_code(capsys, monkeypatch):
-    def boom(_flag):
-        raise NotInCDSpanError("forced for the exit-code contract")
-
-    monkeypatch.setattr(cli, "to_cd_basis", boom)
-    code, _, err = run_cli(capsys, "hvec", "--format", "json", "pt")
+    # a product's flag vector is the one input the CLI splits into its
+    # cd-index; one outside the span (vertices != edges in degree 2) exits 4
+    monkeypatch.setattr(lattice, "product_flag", lambda *_: FlagVector(2, {(0,): 1}))
+    code, out, err = run_cli(capsys, "hvec", "prod(cube(1),cube(1))")
     assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
     assert "span" in err
 
 
