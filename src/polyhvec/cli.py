@@ -27,7 +27,7 @@ from .cdwords import (
     word_vector,
 )
 from .errors import ExprParseError, FaceCountLimitError, NotInCDSpanError
-from .flagvec import dim_subsets
+from .flagvec import dim_subsets, subset_masks
 from .hvector import h_of_cdvector, toric_of_cdvector
 from .lattice import (
     DEFAULT_FACE_CAP,
@@ -50,6 +50,12 @@ def format_dimset(S) -> str:
     return "{" + ",".join(map(str, S)) + "}"
 
 
+def flag_rows(flag):
+    """(dimension set, value) of every set, in `dim_subsets` order."""
+    d = flag.dim
+    return zip(dim_subsets(d), map(flag.values.__getitem__, subset_masks(d)))
+
+
 def full_record(input_str: str, flag, cd) -> dict:
     """The JSON record of one input, from its flag vector and CD-coordinates."""
     h = h_of_cdvector(cd)
@@ -57,7 +63,7 @@ def full_record(input_str: str, flag, cd) -> dict:
     return {
         "input": input_str,
         "dim": flag.dim,
-        "flag": [[list(S), flag.get(S)] for S in dim_subsets(flag.dim)],
+        "flag": [[list(S), v] for S, v in flag_rows(flag)],
         "h": [[str(key), list(poly.coeffs)] for key, poly in h.items()],
         "toric": list(toric.coeffs),
     }
@@ -78,9 +84,8 @@ def cmd_single(args) -> int:
         )
     out = sys.stdout
     if args.command == "flag" and args.format == "text":
-        flag = eval_flag(expr)
-        for S in dim_subsets(flag.dim):
-            out.write(f"{format_dimset(S)}: {flag.get(S)}\n")
+        for S, v in flag_rows(eval_flag(expr)):
+            out.write(f"{format_dimset(S)}: {v}\n")
         return EXIT_OK
     d = expr_dim(expr)
     check_basis_degree(d)  # the rest needs CD-coordinates

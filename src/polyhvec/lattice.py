@@ -12,8 +12,10 @@ makes the expression denote a (possibly virtual) flag vector rather than
 a buildable polytope, so the arguments of prod must be D-free.
 
 Faces are integer indices; only the combinatorics matter.  Lattices
-are immutable after build and chain counting is exact integer dynamic
-programming over the containment order.
+are immutable after build.  One exact integer chain DP per lattice,
+cached on it, gives every face's link flag vector; the bottom face's
+link is the lattice's own flag vector.  `interval_lattice`, which
+rebuilds a link as a lattice, is the DP's oracle in the tests.
 
 Every unary node has a step on face lattices and one on cd-indices, and
 `_build` and `eval_cd` fold the same chain of steps over the point or a
@@ -462,56 +464,62 @@ def build_lattice(e: Expr, max_faces: int = DEFAULT_FACE_CAP) -> FaceLattice:
 # chain counting
 
 
-def chain_count_flag(L: FaceLattice) -> FlagVector:
-    """Count chains of nonempty proper faces, grouped by dimension set."""
+def _link_values(L: FaceLattice):
+    """Every face's link flag vector as a tuple by bitmask: one upward DP.
+
+    The link of F, of dimension e = d - dim F - 1, counts the chains
+    F < H_1 < ... < H_k of proper faces by their dimensions less
+    dim F + 1.  Walking down from the body a level at a time, F gets per
+    level above it a bitmask of the faces there over F, from its covers'
+    masks; only the level just above keeps its masks.  A chain whose
+    lowest face H is j levels above F is H and a chain of H's link, so
+    the masks with lowest bit j (the slice [1 << j :: 2 << j]) sum those
+    H's tuples.  Cached in `_cache`; the body's and the facets' tuple is
+    (1,), one empty chain.  Face lattices are graded, which the walk needs.
+    """
+    got = L._cache.get("link_values")
+    if got is not None:
+        return got
     d = L.dim
     levels = [L.faces_of_dim(k) for k in range(-1, d + 1)]
     pos = [0] * len(L)
     for level in levels:
         for idx, face in enumerate(level):
             pos[face] = idx
+    values = [(1,)] * len(L)
+    above = {face: () for face in levels[d]}  # over a facet: only the body
+    for k in reversed(range(-1, d - 1)):
+        e = d - k - 1
+        level_above = {}  # per face of dim k, per dim k + 1 + j: faces over it
+        for face in levels[k + 1]:
+            masks = [0] * e
+            for up in L.covers_up[face]:
+                masks[0] |= 1 << pos[up]
+                for j, m in enumerate(above[up], 1):
+                    masks[j] |= m
+            vec = [0] * (1 << e)
+            vec[0] = 1
+            for j, m in enumerate(masks):
+                level = levels[k + j + 2]
+                tails = []
+                while m:
+                    low = m & -m
+                    tails.append(values[level[low.bit_length() - 1]])
+                    m ^= low
+                vec[1 << j :: 2 << j] = map(sum, zip(*tails))
+            level_above[face] = masks
+            values[face] = tuple(vec)
+        above = level_above
+    got = L._cache["link_values"] = tuple(values)
+    return got
 
-    # below[(face, t)]: bitmask over the dim-t level of faces strictly below
-    covers_down = L.covers_down()
-    below = {}
-    order = sorted(range(len(L)), key=lambda i: L.dims[i])
-    for face in order:
-        k = L.dims[face]
-        if k <= 0:
-            continue
-        mask = 0
-        for c in covers_down[face]:
-            mask |= 1 << pos[c]
-        below[(face, k - 1)] = mask
-        for t in range(0, k - 1):
-            acc = 0
-            for c in covers_down[face]:
-                acc |= below.get((c, t), 0)
-            below[(face, t)] = acc
 
-    memo = {}
+def chain_count_flag(L: FaceLattice) -> FlagVector:
+    """Count chains of nonempty proper faces, grouped by dimension set.
 
-    def chains(face, mask):
-        # chains with dimension-set `mask` strictly below `face`
-        if mask == 0:
-            return 1
-        key = (face, mask)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        t = mask.bit_length() - 1
-        rest = mask ^ (1 << t)
-        level = levels[t + 1]
-        total = 0
-        m = below.get((face, t), 0)
-        while m:
-            low = m & -m
-            total += chains(level[low.bit_length() - 1], rest)
-            m ^= low
-        memo[key] = total
-        return total
-
-    return FlagVector.from_values(d, [chains(L.top, m) for m in range(1 << max(d, 0))])
+    The bottom face's link, read from the lattice's chain DP.
+    """
+    return FlagVector.from_values(L.dim, _link_values(L)[L.bottom])
 
 
 def interval_lattice(L: FaceLattice, lo: int, hi: int) -> FaceLattice:
@@ -535,22 +543,27 @@ def interval_lattice(L: FaceLattice, lo: int, hi: int) -> FaceLattice:
 
 
 def link_flag(L: FaceLattice, face: int) -> FlagVector:
-    """Flag vector of the link of a nonempty face (the interval up to the body)."""
-    if face == L.bottom:
-        raise ValueError("the empty face has no link")
-    return chain_count_flag(interval_lattice(L, face, L.top))
+    """Flag vector of the link of a nonempty face (the interval up to the body).
+
+    Read from the lattice's chain DP, with no interval rebuilt.
+    """
+    if not 0 <= face < len(L) or face == L.bottom:
+        raise ValueError(f"face {face} is not a nonempty face of the lattice")
+    return FlagVector.from_values(L.dim - L.dims[face] - 1, _link_values(L)[face])
 
 
 def total_link_vector(L: FaceLattice) -> GradedFlagVector:
-    """Sum of link flag vectors over all nonempty faces, graded by link dimension."""
-    comps = {}
-    for face in range(len(L)):
-        if face == L.bottom:
-            continue
-        lf = link_flag(L, face)
-        cur = comps.get(lf.dim)
-        comps[lf.dim] = lf if cur is None else cur + lf
-    return GradedFlagVector(comps)
+    """Sum of link flag vectors over all nonempty faces, graded by link dimension.
+
+    The tuples of the lattice's chain DP, summed entrywise per grade.
+    """
+    by_dim = {}
+    for face, vec in enumerate(_link_values(L)):
+        if face != L.bottom:
+            by_dim.setdefault(L.dim - L.dims[face] - 1, []).append(vec)
+    return GradedFlagVector(
+        {e: FlagVector.from_values(e, map(sum, zip(*v))) for e, v in by_dim.items()}
+    )
 
 
 def is_eulerian(L: FaceLattice) -> bool:

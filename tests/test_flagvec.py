@@ -17,7 +17,7 @@ from polyhvec import (
     prism_flag,
     pyramid_flag,
 )
-from polyhvec.flagvec import sets_by_mask
+from polyhvec.flagvec import sets_by_mask, subset_masks
 
 SEGMENT = pyramid_flag(point_flag())
 TRIANGLE = pyramid_flag(SEGMENT)
@@ -238,6 +238,9 @@ def test_mapping_and_value_constructors_agree(drawn, data):
     assert built.entries == dense.entries == nonzero
     in_order = [(S, nonzero[S]) for S in dim_subsets(d) if S in nonzero]
     assert built.items() == dense.items() == in_order
+    # the writers' order: `dim_subsets`, read through the masks
+    by_mask = [dense.values[m] for m in subset_masks(d)]
+    assert by_mask == [dense.get(S) for S in dim_subsets(d)]
     assert hash(built) == hash(dense)
     assert repr(built) == repr(dense)
     # unsorted and repeated elements too, and -1 and d anywhere

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from polyhvec import (
     sample_expressions,
     total_link_vector,
 )
+from polyhvec import hvector, lattice, verify
 from polyhvec.cdwords import _subset_sums, cd_index
 from polyhvec.flagvec import GradedFlagVector, c_on_graded
 from polyhvec.lattice import (
@@ -41,6 +44,7 @@ from polyhvec.lattice import (
     eval_cd,
     face_count,
     flag_of_lattice,
+    interval_lattice,
     is_buildable,
 )
 
@@ -198,6 +202,62 @@ def test_link_examples():
     vertex = cube3.faces_of_dim(0)[0]
     triangle = chain_count_flag(build_lattice(Simplex(2)))
     assert link_flag(cube3, vertex) == triangle
+
+
+def test_link_flag_rejects_faces_out_of_range():
+    L = build_lattice(Cube(2))
+    for face in (-1, len(L), L.bottom):
+        with pytest.raises(ValueError):
+            link_flag(L, face)
+
+
+def brute_link_flag(L, face):
+    """Every chain face < H_1 < ... < H_k of proper faces, enumerated one by one."""
+    above = {}
+
+    def strictly_above(lo):
+        if lo not in above:
+            found = set()
+            for up in L.covers_up[lo]:
+                found |= {up} | strictly_above(up)
+            above[lo] = found
+        return above[lo]
+
+    base = L.dims[face] + 1
+    tally = Counter()
+
+    def walk(lo, dims):
+        tally[dims] += 1
+        for up in strictly_above(lo) - {L.top}:
+            walk(up, dims + (L.dims[up] - base,))
+
+    walk(face, ())
+    return FlagVector(L.dim - base, tally)
+
+
+def test_link_flags_match_brute_force_chain_enumeration():
+    for e in sample_expressions(4) + [Prod(Simplex(2), Cube(2))]:
+        L = build_lattice(e)
+        assert chain_count_flag(L) == brute_link_flag(L, L.bottom), expr_str(e)
+        for face in range(len(L)):
+            if face != L.bottom:
+                spec = brute_link_flag(L, face)
+                assert link_flag(L, face) == spec, (expr_str(e), face)
+                interval = interval_lattice(L, face, L.top)
+                assert chain_count_flag(interval) == spec, (expr_str(e), face)
+
+
+def test_links_rebuild_no_interval_lattice(monkeypatch):
+    # every link is read from the lattice's one upward chain DP
+    def refuse(*_):
+        raise AssertionError("an interval lattice was rebuilt")
+
+    monkeypatch.setattr(lattice, "interval_lattice", refuse)
+    assert verify.check_link_identities(6) is None
+    ell = total_link_vector(build_lattice(Cube(5)))
+    # the cube is simple: each of its 32 vertex links is a 4-simplex
+    assert ell.component(4) == chain_count_flag(build_lattice(Simplex(4))).scaled(32)
+    assert hvector.h_via_links(Cube(4)) == hvector.h_of_polytope(Cube(4))
 
 
 def test_total_link_vector_examples():
