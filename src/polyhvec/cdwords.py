@@ -14,10 +14,10 @@ The change of basis goes through the cd-index (Bayer and Klapper,
 Discrete Comput. Geom. 6, 1991).  The ab-word of a dimension set S of a
 dimension-d flag vector has b at position i iff i is in S; the ab-index
 is the sum of the flag h-numbers times their ab-words, and with c = a + b
-and d = ab + ba it is a polynomial in c and d with one monomial per
-Bayer-Billera sparse set (subsets of 0..d-2 with no two consecutive;
-Bayer and Billera, Invent. Math. 79, 1985).  A monomial's d's start at
-the positions of its sparse set.
+and d = ab + ba it is a polynomial in c and d.  With c of degree one and
+d of degree two, the degree-d monomials are the degree-d words in lower
+case (`cd_monomials`), as many as the Bayer-Billera sparse sets (Bayer
+and Billera, Invent. Math. 79, 1985).
 
 * Operators (`pyramid_cd`, `prism_cd`, `diamond_cd`, `dual_cd`): the
   derivations of Ehrenborg and Readdy (J. Algebraic Combin. 8, 1998).
@@ -201,19 +201,6 @@ def cd_flag(v: CDVector) -> FlagVector:
     return linear_combine((c, word_flag(w)) for w, c in v.coeffs.items())
 
 
-def sparse_sets(d: int) -> list[tuple[int, ...]]:
-    """The Bayer-Billera sparse sets: subsets of 0..d-2, no two consecutive.
-
-    There is one per degree-d word: the b-positions of the cd-monomials
-    read with c -> a and d -> ba, which order the columns of P_d.
-    """
-    return [
-        S
-        for S in dim_subsets(d)
-        if (not S or S[-1] <= d - 2) and all(b - a > 1 for a, b in zip(S, S[1:]))
-    ]
-
-
 def basis_matrix(d: int) -> list[list[int]]:
     """Rows: flag vectors of the degree-d words; columns: all dimension sets."""
     return [[word_flag(w).get(S) for S in dim_subsets(d)] for w in cd_words(d)]
@@ -225,18 +212,8 @@ def basis_matrix(d: int) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def cd_monomials(d: int) -> tuple[str, ...]:
-    """The cd-monomials of degree d, one per sparse set, in the same order.
-
-    The d's of a monomial start at the positions in its sparse set.
-    """
-    out = []
-    for S in sparse_sets(d):
-        letters, i = "", 0
-        while i < d:
-            letters += "d" if i in S else "c"
-            i += 2 if i in S else 1
-        out.append(letters)
-    return tuple(out)
+    """The cd-monomials of degree d: the degree-d words in lower case, in order."""
+    return tuple(w.lower() for w in cd_words(d))
 
 
 # images of the letters under the derivations G (pyramid) and D' (prism)

@@ -297,6 +297,5 @@ def cd_from_h(kp: KeyedPoly) -> CDVector:
 
 def flag_from_h(kp: KeyedPoly) -> FlagVector:
     """Recover the flag vector from an h-value, exactly."""
-    v = cd_from_h(kp)
-    check_basis_degree(v.degree)
-    return cd_flag(v)
+    check_basis_degree(kp.dim)  # before the peel, which an over-cap value pays for
+    return cd_flag(cd_from_h(kp))

@@ -17,13 +17,13 @@ cached on it, gives every face's link flag vector; the bottom face's
 link is the lattice's own flag vector.  `interval_lattice`, which
 rebuilds a link as a lattice, is the DP's oracle in the tests.
 
-Every unary node has a step on face lattices and one on cd-indices, and
-`_build` and `eval_cd` fold the same chain of steps over the point or a
-product.  `_build` builds a product's lattice from its factors' lattices;
-`eval_cd` takes a product's flag vector from its factors' flag vectors
-(`flagvec.product_flag`), so evaluation builds no lattice.  Lattice chain
-counts and the flag operators of `flagvec` are the oracles for this
-evaluation.
+`_NODES` spells every node but the point and a product as runs of four
+steps, C, I, dual and D (B is dual, I, dual; cube(n) is C, then I n - 1
+times), and `expr_dim`, `is_buildable`, `face_count_bound`, `_build` and
+`eval_cd` fold the runs over the point or a product.  `eval_cd` takes a product's
+flag vector from its factors' flag vectors (`flagvec.product_flag`), so
+evaluation builds no lattice; lattice chain counts and the flag
+operators of `flagvec` are its oracles.
 """
 
 from __future__ import annotations
@@ -101,9 +101,7 @@ Expr = (
     Pt | Cone | Prism | Bipyr | Dual | Diamond | Prod | Simplex | Cube | Crosspoly
 )
 
-# the unary nodes' spellings and steps are in `_UNARY`, after the lattices
-_SIZED = {"simplex": Simplex, "cube": Cube, "crosspoly": Crosspoly}
-
+# every node's spelling and steps are in `_NODES`, after the lattices
 _WORD_RE = re.compile(r"[CDI]+\Z")
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<num>\d+)|(?P<punct>[(),]))")
 
@@ -167,19 +165,19 @@ class _Parser:
                     "prod arguments must be buildable (no D operator)", pos=pos
                 )
             return Prod(left, right)
-        if name in _SIZED:
-            n = self.number_arg()
-            least = 0 if name == "simplex" else 1
-            if n < least:
-                raise ExprParseError(f"{name} needs n >= {least}, got {n}", pos=pos)
-            return _SIZED[name](n)
         # a word over C, I and D is its letters nested, applied right to left
         spellings = name if _WORD_RE.match(name) else [name]
-        if spellings[0] not in _UNARY_BY_NAME:
+        if spellings[0] not in _BY_SPELLING:
             raise ExprParseError(f"unknown constructor {name!r}", pos=pos)
+        least = _NODES[_BY_SPELLING[spellings[0]]].least
+        if least is not None:  # a sized node
+            n = self.number_arg()
+            if n < least:
+                raise ExprParseError(f"{name} needs n >= {least}, got {n}", pos=pos)
+            return _BY_SPELLING[name](n)
         body = self.one_arg()
         for spelling in reversed(spellings):
-            body = _UNARY_BY_NAME[spelling](body)
+            body = _BY_SPELLING[spelling](body)
         return body
 
     def one_arg(self) -> Expr:
@@ -203,45 +201,53 @@ def parse_expr(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def _unary_chain(e: Expr):
-    """The unary nodes stacked on e, outermost first, and the node under them.
+def _runs(e: Expr):
+    """The point or product under e, and an iterator over its runs of steps,
+    innermost first; a run is a step and its count.
 
     A loop, not recursion, so that a word of any length is walked at once.
     """
-    chain = []
-    while type(e) in _UNARY:
-        chain.append(e)
-        e = e.body
-    if not isinstance(e, (Pt, Prod, Simplex, Cube, Crosspoly)):
+    outer = []  # outermost first
+    try:
+        while True:
+            outer += _UNARY_RUNS[type(e)]
+            e = e.body
+    except KeyError:  # not a unary node; one lookup a node keeps long words fast
+        pass
+    if type(e) in _NODES:  # a sized node: its runs over the point
+        outer += reversed(_NODES[type(e)].runs(e.n))
+        e = _POINT
+    elif not isinstance(e, (Pt, Prod)):
         raise TypeError(f"not an expression: {e!r}")
-    return chain, e
+    return e, reversed(outer)
 
 
 def expr_dim(e: Expr) -> int:
-    chain, base = _unary_chain(e)
-    if isinstance(base, Prod):
-        d = expr_dim(base.left) + expr_dim(base.right)
-    else:
-        d = 0 if isinstance(base, Pt) else base.n
-    return d + sum(_UNARY[type(node)].dim for node in chain)
+    base, runs = _runs(e)
+    d = expr_dim(base.left) + expr_dim(base.right) if isinstance(base, Prod) else 0
+    return d + sum(step.dim * k for step, k in runs)
 
 
 def expr_str(e: Expr) -> str:
-    chain, base = _unary_chain(e)
-    if isinstance(base, Pt):
+    spellings = []
+    while type(e) in _UNARY_RUNS:
+        spellings.append(_NODES[type(e)].spelling)
+        e = e.body
+    if type(e) in _NODES:
+        text = f"{_NODES[type(e)].spelling}({e.n})"
+    elif isinstance(e, Prod):
+        text = f"prod({expr_str(e.left)},{expr_str(e.right)})"
+    elif isinstance(e, Pt):
         text = "pt"
-    elif isinstance(base, Prod):
-        text = f"prod({expr_str(base.left)},{expr_str(base.right)})"
     else:
-        text = f"{type(base).__name__.lower()}({base.n})"
-    prefix = "".join(_UNARY[type(node)].spelling + "(" for node in chain)
-    return prefix + text + ")" * len(chain)
+        raise TypeError(f"not an expression: {e!r}")
+    return "".join(s + "(" for s in spellings) + text + ")" * len(spellings)
 
 
 def is_buildable(e: Expr) -> bool:
     """True when the expression denotes an actual polytope lattice (no D)."""
-    chain, base = _unary_chain(e)
-    if any(isinstance(node, Diamond) for node in chain):
+    base, runs = _runs(e)
+    if not all(step.lattice for step, _ in runs):
         return False
     if isinstance(base, Prod):
         return is_buildable(base.left) and is_buildable(base.right)
@@ -261,25 +267,23 @@ def face_count(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
 def face_count_bound(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
     """Upper bound on the work an expression needs, in face-count units.
 
-    Exact for buildable expressions; virtual ones are covered through
-    the D bound.  Every step is monotone, so the count saturates: a
-    count above `cap` comes back as cap + 1, without computing it.  Used
-    by the CLI to apply the face cap uniformly before evaluating anything.
+    Exact for buildable expressions; virtual ones are covered through the
+    D bound.  A count above `cap` comes back as cap + 1, and every step
+    but dual (which keeps the count) at least doubles it, so a run of any
+    length saturates within log2(cap) steps.  The CLI's face cap uses it.
     """
-    chain, base = _unary_chain(e)
-    if isinstance(base, Pt):
-        n = 2
-    elif isinstance(base, Prod):
+    base, runs = _runs(e)
+    n = 2
+    if isinstance(base, Prod):
         left = face_count_bound(base.left, cap)
         n = (left - 1) * (face_count_bound(base.right, cap) - 1) + 1
-    elif base.n >= cap.bit_length():
-        return cap + 1  # the count is at least 2**n > cap
-    else:
-        n = 2 ** (base.n + 1) if isinstance(base, Simplex) else 3**base.n + 1
-    for node in reversed(chain):
-        n = _UNARY[type(node)].faces(n)
-        if n > cap:
-            return cap + 1
+    for step, k in runs:
+        for _ in range(k):
+            n, before = step.faces(n), n
+            if n > cap:
+                return cap + 1
+            if n == before:
+                break
     return min(n, cap + 1)
 
 
@@ -401,53 +405,42 @@ def _prism_lattice(L: FaceLattice) -> FaceLattice:
     return _product_lattice(L, _cone_lattice(_point_lattice()))  # the segment
 
 
-# every unary node: its spelling, dimension step, faces after it from the
-# faces before it, step on face lattices (D has none) and step on
-# cd-indices; the bipyramid is the dual of the prism of the dual, and the
-# diamond IC - CC is bounded by its prism-of-cone branch
-_Unary = namedtuple("_Unary", "spelling dim faces lattice cd")
-_UNARY = {
-    Cone: _Unary("C", 1, lambda n: 2 * n, _cone_lattice, pyramid_cd),
-    Prism: _Unary("I", 1, lambda n: 3 * (n - 1) + 1, _prism_lattice, prism_cd),
-    Bipyr: _Unary(
-        "B",
-        1,
-        lambda n: 3 * (n - 1) + 1,
-        lambda L: _dual_lattice(_prism_lattice(_dual_lattice(L))),
-        lambda psi: dual_cd(prism_cd(dual_cd(psi))),
-    ),
-    Dual: _Unary("dual", 0, lambda n: n, _dual_lattice, dual_cd),
-    Diamond: _Unary("D", 2, lambda n: 3 * (2 * n - 1) + 1, None, diamond_cd),
+# the four steps: dimension step, faces after from faces before (D = IC - CC
+# bounded by its IC branch), step on face lattices (D has none) and cd-indices
+_Step = namedtuple("_Step", "dim faces lattice cd")
+_C = _Step(1, lambda n: 2 * n, _cone_lattice, pyramid_cd)
+_I = _Step(1, lambda n: 3 * (n - 1) + 1, _prism_lattice, prism_cd)
+_DUAL = _Step(0, lambda n: n, _dual_lattice, dual_cd)
+_D = _Step(2, lambda n: 3 * (2 * n - 1) + 1, None, diamond_cd)
+
+# every other node's spelling and runs of steps, innermost first; a sized
+# node's runs over the point are a function of its n, which is at least `least`
+_Node = namedtuple("_Node", "spelling runs least", defaults=(None,))
+_NODES = {
+    Cone: _Node("C", ((_C, 1),)),
+    Prism: _Node("I", ((_I, 1),)),
+    Bipyr: _Node("B", ((_DUAL, 1), (_I, 1), (_DUAL, 1))),
+    Dual: _Node("dual", ((_DUAL, 1),)),
+    Diamond: _Node("D", ((_D, 1),)),
+    Simplex: _Node("simplex", lambda n: ((_C, n),), 0),
+    Cube: _Node("cube", lambda n: ((_C, 1), (_I, n - 1)), 1),
+    Crosspoly: _Node("crosspoly", lambda n: _NODES[Cube].runs(n) + ((_DUAL, 1),), 1),
 }
-_UNARY_BY_NAME = {step.spelling: node for node, step in _UNARY.items()}
-
-
-def _chain(e: Expr):
-    """The point or product under e, and the steps over it, innermost first.
-
-    simplex(n) is C^n(pt), cube(n) is I^(n-1) C(pt) and crosspoly(n) is
-    the dual of cube(n).
-    """
-    chain, base = _unary_chain(e)
-    nodes = []
-    if isinstance(base, Simplex):
-        nodes = [Cone] * base.n
-    elif isinstance(base, (Cube, Crosspoly)):
-        nodes = [Cone] + [Prism] * (base.n - 1)
-        if isinstance(base, Crosspoly):
-            nodes.append(Dual)
-    nodes += [type(node) for node in reversed(chain)]
-    return (base if isinstance(base, Prod) else Pt()), [_UNARY[n] for n in nodes]
+_BY_SPELLING = {node.spelling: kind for kind, node in _NODES.items()}
+# the unary nodes' runs, outermost first, for `_runs` to walk down
+_UNARY_RUNS = {kind: n.runs[::-1] for kind, n in _NODES.items() if n.least is None}
+_POINT = Pt()
 
 
 def _build(e: Expr) -> FaceLattice:
-    base, steps = _chain(e)
+    base, runs = _runs(e)
     if isinstance(base, Prod):
         L = _product_lattice(_build(base.left), _build(base.right))
     else:
         L = _point_lattice()
-    for step in steps:
-        L = step.lattice(L)
+    for step, k in runs:
+        for _ in range(k):
+            L = step.lattice(L)
     return L
 
 
@@ -605,20 +598,21 @@ def flag_of_lattice(e: Expr) -> FlagVector:
 
 
 def eval_cd(e: Expr) -> dict[str, int]:
-    """cd-index of an expression: its chain's cd-index steps, folded.
+    """cd-index of an expression: its runs' cd-index steps, folded.
 
     The base is the point or a product, whose flag vector comes from its
     factors' flag vectors and is split into its cd-index, a check of all
     2^d entries.  Virtual inputs (with D) are fine anywhere except inside
     prod.
     """
-    base, steps = _chain(e)
+    base, runs = _runs(e)
     if isinstance(base, Prod):
         psi = cd_index(product_flag(eval_flag(base.left), eval_flag(base.right)))
     else:
         psi = {"": 1}
-    for step in steps:
-        psi = step.cd(psi)
+    for step, k in runs:
+        for _ in range(k):
+            psi = step.cd(psi)
     return psi
 
 

@@ -31,7 +31,6 @@ from polyhvec.cdwords import (
     cd_index,
     cd_index_flag,
     cd_monomials,
-    sparse_sets,
     word_cd,
 )
 from polyhvec.hpoly import KeyedPoly
@@ -238,11 +237,10 @@ def test_linalg_matches_fraction_gauss_jordan(rows, data):
     assert LinearSolver(rows).solve(b) == [r[-1] for r in x]
 
 
-def test_sparse_sets_give_unimodular_rows():
-    assert sparse_sets(4) == [(), (0,), (1,), (2,), (0, 2)]
+def test_basis_matrices_are_unimodular():
+    assert cd_monomials(4) == ("cccc", "ccd", "cdc", "dcc", "dd")
     for d in range(11):
         _basis_solver(d)  # raises unless P_d has det +-1
-        assert len(sparse_sets(d)) == len(cd_words(d))
 
 
 def test_word_cd_examples():
@@ -264,17 +262,25 @@ def test_word_cd_matches_word_flags():
 
 def test_peel_is_triangular_with_unit_pivots():
     # expanding a monomial (c to a or b, d to ab or ba) meets its own sparse
-    # word once, with c to a and d to ba, and every other word at a larger mask
+    # word once, with c to a and d to ba, and every other word at a larger
+    # mask; the monomials' own words are distinct
     for d in range(MAX_BASIS_DEGREE + 1):
-        for S, m in zip(sparse_sets(d), cd_monomials(d)):
-            choices, pos = [], 0
+        owns = set()
+        for m in cd_monomials(d):
+            choices, pos, own = [], 0, 0  # own: the b-positions of its word
             for letter in m:
-                choices.append((0, 1 << pos) if letter == "c" else (1 << pos, 2 << pos))
-                pos += 1 if letter == "c" else 2
+                if letter == "c":
+                    choices.append((0, 1 << pos))
+                    pos += 1
+                else:
+                    choices.append((1 << pos, 2 << pos))
+                    own |= 1 << pos
+                    pos += 2
             assert pos == d
             masks = Counter(map(sum, itertools.product(*choices)))
-            own = sum(1 << i for i in S)
             assert min(masks) == own and masks[own] == 1, m
+            owns.add(own)
+        assert len(owns) == len(cd_words(d))
 
 
 def test_change_of_basis_refuses_degrees_over_the_cap():

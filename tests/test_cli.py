@@ -158,6 +158,24 @@ def test_deeply_nested_input_is_a_parse_error(capsys):
     assert "nested" in err
 
 
+@pytest.mark.parametrize("command", ["flag", "hvec"])
+def test_products_nested_250_deep_evaluate(command):
+    # each recursive fold takes one frame per level of prod, so a fresh
+    # process evaluates products nested about 330 deep; 250 must pass
+    text = "pt"
+    for _ in range(250):
+        text = f"prod({text},pt)"
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyhvec", command, text],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_resource_exit_code(capsys):
     code, _, err = run_cli(capsys, "flag", "cube(20)")
     assert code == 3

@@ -6,6 +6,7 @@ import pytest
 from polyhvec import (
     CDVector,
     EMPTY_KEY,
+    FaceCountLimitError,
     HPoly,
     Key,
     KeyedPoly,
@@ -263,6 +264,17 @@ def test_flag_from_h_rejects_garbage():
 
     with pytest.raises(NotPalindromicError):
         flag_from_h(KeyedPoly(1, {EMPTY_KEY: X}))
+
+
+def test_flag_from_h_refuses_an_over_cap_value_before_the_peel(monkeypatch):
+    value = h_of_word("C" * 13)
+
+    def refuse(_):
+        raise AssertionError("an over-cap h-value was peeled")
+
+    monkeypatch.setattr(hvector, "cd_from_h", refuse)
+    with pytest.raises(FaceCountLimitError):
+        flag_from_h(value)
 
 
 def test_prism_law_on_polytopes():

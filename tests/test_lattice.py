@@ -43,6 +43,7 @@ from polyhvec.lattice import (
     Simplex,
     eval_cd,
     face_count,
+    face_count_bound,
     flag_of_lattice,
     interval_lattice,
     is_buildable,
@@ -124,6 +125,28 @@ def test_bipyramid_face_counts():
 def test_face_count_prediction_matches_build():
     for e in sample_expressions(4):
         assert face_count(e) == len(build_lattice(e))
+
+
+def test_sized_nodes_count_by_their_closed_forms():
+    # the step-by-step counts against the closed forms they replaced
+    for n in range(1, 13):
+        assert face_count_bound(Simplex(n), 10**9) == 2 ** (n + 1)
+        assert face_count_bound(Cube(n), 10**9) == 3**n + 1
+        assert face_count_bound(Crosspoly(n), 10**9) == 3**n + 1
+
+
+def test_nine_digit_sizes_are_counted_at_once():
+    # a run of 999999998 prisms saturates the count within a few steps
+    for text, dim in (
+        ("cube(999999999)", 999999999),
+        ("simplex(999999999)", 999999999),
+        ("crosspoly(999999999)", 999999999),
+        ("B(cube(999999999))", 1000000000),
+        ("prod(cube(999999999),pt)", 999999999),
+    ):
+        e = parse_expr(text)
+        assert face_count_bound(e) == 10**6 + 1, text
+        assert expr_dim(e) == dim, text
 
 
 def test_face_cap_rejects_huge_builds():
@@ -335,6 +358,8 @@ def test_random_expressions_round_trip(e):
 def test_random_operator_values_match_chain_counting(e):
     assert is_buildable(e)
     assert eval_flag(e) == flag_of_lattice(e)
+    assert face_count(e) == len(build_lattice(e))
+    assert expr_dim(e) == build_lattice(e).dim
 
 
 FLAG_OPERATORS = {
