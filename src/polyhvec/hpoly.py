@@ -13,7 +13,6 @@ that basis by peeling coefficients off the outside in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NotPalindromicError
 
@@ -139,22 +138,36 @@ def palindromic_decompose(p: HPoly) -> list[tuple[int, int, int]]:
     return out
 
 
-@dataclass(frozen=True)
 class Key:
     """A key ((d_1..d_r), (c_1..c_r)) indexing one symbol of a keyed polynomial.
 
     The degree is 2*sum(ds) + sum(cs) + 3r.  The empty key has degree 0 and
-    its symbol is the constant 1.
+    its symbol is the constant 1.  Immutable; equals only a `Key`.
     """
 
-    ds: tuple[int, ...]
-    cs: tuple[int, ...]
+    __slots__ = ("ds", "cs")
 
-    def __post_init__(self):
-        if len(self.ds) != len(self.cs):
+    def __init__(self, ds: tuple[int, ...], cs: tuple[int, ...]):
+        if len(ds) != len(cs):
             raise ValueError("key lists must have equal length")
-        if any(d < 0 for d in self.ds) or any(c < 0 for c in self.cs):
+        if any(d < 0 for d in ds) or any(c < 0 for c in cs):
             raise ValueError("key entries must be nonnegative")
+        object.__setattr__(self, "ds", ds)
+        object.__setattr__(self, "cs", cs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a Key is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is Key and (self.ds, self.cs) == (other.ds, other.cs)
+
+    def __hash__(self):
+        return hash((self.ds, self.cs))
+
+    def __repr__(self):
+        return f"Key(ds={self.ds!r}, cs={self.cs!r})"
 
     @property
     def degree(self) -> int:

@@ -9,7 +9,10 @@ whitespace-insensitive::
 A word over C, I and D is sugar for nested nodes, applied right to left:
 ``CIC(pt)`` parses to ``C(I(C(pt)))``, the same tree.  D, the diamond,
 makes the expression denote a (possibly virtual) flag vector rather than
-a buildable polytope, so the arguments of prod must be D-free.
+a buildable polytope, so the arguments of prod must be D-free.  Nodes
+are immutable tuples of their fields, each equal only to nodes of its
+own class, defined with no class decorator: every CLI call pays for
+this module's import.
 
 Faces are integer indices; only the combinatorics matter.  Lattices
 are immutable after build.  One exact integer chain DP per lattice,
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cdwords import cd_index, cd_index_flag, diamond_cd, dual_cd, prism_cd, pyramid_cd
@@ -46,56 +48,35 @@ MAX_NUMBER_DIGITS = 9
 # expression grammar
 
 
-@dataclass(frozen=True)
-class Pt:
-    pass
+class _ExprNode(tuple):
+    """An expression node: an immutable tuple of its fields that equals only
+    a node of its own class, so Cone(x) != Prism(x) and Pt() != ()."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):  # tuple's own != would ignore the class
+        return not self == other
 
 
-@dataclass(frozen=True)
-class Cone:
-    body: "Expr"
+def _node(name: str, fields: str) -> type:
+    # a namedtuple gives the positional constructor, field names and repr
+    return type(name, (_ExprNode, namedtuple(name, fields)), {"__slots__": ()})
 
 
-@dataclass(frozen=True)
-class Prism:
-    body: "Expr"
-
-
-@dataclass(frozen=True)
-class Bipyr:
-    body: "Expr"
-
-
-@dataclass(frozen=True)
-class Dual:
-    body: "Expr"
-
-
-@dataclass(frozen=True)
-class Diamond:
-    body: "Expr"
-
-
-@dataclass(frozen=True)
-class Prod:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Simplex:
-    n: int
-
-
-@dataclass(frozen=True)
-class Cube:
-    n: int
-
-
-@dataclass(frozen=True)
-class Crosspoly:
-    n: int
-
+Pt = _node("Pt", "")
+Cone = _node("Cone", "body")
+Prism = _node("Prism", "body")
+Bipyr = _node("Bipyr", "body")
+Dual = _node("Dual", "body")
+Diamond = _node("Diamond", "body")
+Prod = _node("Prod", "left right")
+Simplex = _node("Simplex", "n")
+Cube = _node("Cube", "n")
+Crosspoly = _node("Crosspoly", "n")
 
 Expr = (
     Pt | Cone | Prism | Bipyr | Dual | Diamond | Prod | Simplex | Cube | Crosspoly
@@ -160,7 +141,9 @@ class _Parser:
             self.next("punct", ",")
             right = self.expr()
             self.next("punct", ")")
-            if not (is_buildable(left) and is_buildable(right)):
+            # a parsed product is buildable, so only the runs over it can hold
+            # D: each node is walked once, by its innermost enclosing prod
+            if not all(s.lattice for x in (left, right) for s, _ in _runs(x)[1]):
                 raise ExprParseError(
                     "prod arguments must be buildable (no D operator)", pos=pos
                 )

@@ -406,6 +406,25 @@ def test_tracer_still_binds_the_package():
     assert proc.stderr.splitlines()[-1].startswith("PERFBENCH-TRACE")
 
 
+def test_cli_import_brings_in_no_dataclasses_or_inspect():
+    # every CLI call pays its imports; this counts modules, not time, so it
+    # holds on any machine
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys; before = set(sys.modules); import polyhvec.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_span_exit_code(capsys, monkeypatch):
     # a product's flag vector is the one input the CLI splits into its
     # cd-index; one outside the span (vertices != edges in degree 2) exits 4

@@ -85,6 +85,21 @@ def test_key_degree_and_shorthand():
         Key((-1,), (0,))
 
 
+def test_keys_are_immutable_values():
+    k = Key((1, 0), (2, 1))
+    assert k == Key((1, 0), (2, 1)) and not k != Key((1, 0), (2, 1))
+    assert hash(k) == hash(Key((1, 0), (2, 1)))
+    assert k != Key((1, 0), (2, 0)) and k != Key((0, 1), (2, 1))
+    assert k != ((1, 0), (2, 1)) and ((1, 0), (2, 1)) != k
+    assert len({k, Key((1, 0), (2, 1)), EMPTY_KEY}) == 2
+    assert repr(k) == "Key(ds=(1, 0), cs=(2, 1))"
+    with pytest.raises(AttributeError):
+        k.ds = (0, 0)
+    with pytest.raises(AttributeError):
+        del k.cs
+    assert k.ds == (1, 0) and k.cs == (2, 1)
+
+
 def test_key_prime():
     assert EMPTY_KEY.primed(0, 0) == Key((0,), (0,))
     assert EMPTY_KEY.primed(0, 1) == Key((0,), (1,))

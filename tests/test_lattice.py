@@ -95,6 +95,55 @@ def test_parse_errors_carry_positions():
         parse_expr("")
 
 
+def test_nested_products_parse_in_linear_time(monkeypatch):
+    # each prod walks only the runs over its arguments, not their subtrees
+    calls = []
+    runs = lattice._runs
+    monkeypatch.setattr(lattice, "_runs", lambda e: calls.append(e) or runs(e))
+    text = "pt"
+    for _ in range(200):
+        text = f"prod({text},pt)"
+    e = parse_expr(text)
+    assert len(calls) <= 2 * 200 + 10
+    assert isinstance(e, Prod) and expr_dim(e) == 0
+    bad = "prod(D(pt),pt)"
+    for _ in range(3):
+        bad = f"prod(pt,{bad})"
+    with pytest.raises(ExprParseError, match="must be buildable") as err:
+        parse_expr(bad)
+    assert err.value.pos == 3 * len("prod(pt,")  # the innermost offending prod
+
+
+def test_nodes_equal_only_nodes_of_their_own_class():
+    assert Cone(Simplex(1)) != Prism(Simplex(1))
+    assert not Cone(Simplex(1)) == Prism(Simplex(1))
+    assert Simplex(3) != Cube(3) and Cube(3) != Crosspoly(3)
+    assert Bipyr(Pt()) != Dual(Pt()) and Dual(Pt()) != Diamond(Pt())
+    assert Cone(Pt()) != (Pt(),) and (Pt(),) != Cone(Pt())
+    assert Prod(Pt(), Pt()) != (Pt(), Pt())
+    assert Pt() != () and () != Pt() and Pt() == Pt()
+    assert Prod(Cube(2), Cone(Pt())) == Prod(Cube(2), Cone(Pt()))
+    assert hash(Prod(Cube(2), Cone(Pt()))) == hash(Prod(Cube(2), Cone(Pt())))
+    assert len({Cone(Pt()), Prism(Pt()), Cone(Pt())}) == 2
+
+
+def test_equal_hashes_do_not_alias_cached_values():
+    # Cone(x) and Prism(x) may hash alike; the caches must tell them apart
+    for _ in range(2):
+        assert eval_flag(Cone(Simplex(1))).values == (1, 3, 3, 6)
+        assert eval_flag(Prism(Simplex(1))).values == (1, 4, 4, 8)
+
+
+def test_nodes_are_immutable():
+    e = Prod(Cone(Pt()), Cube(2))
+    for node, field in ((e, "left"), (e, "right"), (e.left, "body"), (e.right, "n")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, Pt())
+    with pytest.raises(AttributeError):
+        Pt().body = Pt()
+    assert e == Prod(Cone(Pt()), Cube(2))
+
+
 def test_expr_str_round_trips():
     for e in sample_expressions(5):
         assert parse_expr(expr_str(e)) == e
