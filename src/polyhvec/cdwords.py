@@ -41,15 +41,24 @@ and Billera, Invent. Math. 79, 1985).
   `NotInCDSpanError` at the first level that disagrees.
 * Solve (`cd_coordinates`), the only code that turns a cd-index into
   CD-coordinates; an expression's cd-index goes there with no split.
-  P_d, whose rows are the cd-indices of the degree-d words, has an
-  integer inverse.  Its determinant is +1 or -1 by computation, not by
-  proof: `LinearSolver` checks it at every degree it is built for
-  (`_basis_solver`).
+  The cd-index of a word Cw is the pyramid of that of w, and that of Dw
+  the diamond of that of w; so a degree-d Psi = sum x_w Psi(w) is
+  pyramid(alpha) + diamond(beta), where alpha = sum x_(Cw) Psi(w) has
+  degree d - 1 and beta = sum x_(Dw) Psi(w) degree d - 2.  One square
+  system M_d gives (alpha, beta), and the solve recurses on them under
+  the prefixes C and D, down to degree 0.  M_d is factored once per
+  degree with its pivots down the diagonal (`_letter_factor`), and every
+  pivot must be 1 or -1.  That certifies the basis: P_d, whose rows are
+  the cd-indices of the degree-d words, has det P_d = det M_d *
+  det P_(d-1) * det P_(d-2), so unit pivots at every degree make every
+  P_d unimodular by induction, and no P_d is ever built.
 
-MAX_BASIS_DEGREE = 12 is a resource cap: at d = 12 the fold takes about
-0.8 s and inverting P_12 about 5 s (one 2-vCPU machine, in-process).
-`word_flag`, `cd_flag` and `basis_matrix` stay as the flag-operator
-oracle.
+MAX_BASIS_DEGREE = 12 is a resource cap, kept until one work budget
+bounds the whole call.  The factors of M_2 .. M_12 take about 0.04 s,
+the factor of each further degree about twice the last, and a solve at
+d = 12 about 0.002 s once they exist (one 2-vCPU machine, in-process).
+Only `table` folds `word_cd`; `word_flag`, `cd_flag` and `basis_matrix`
+stay as the flag-operator oracle.
 """
 
 from __future__ import annotations
@@ -66,7 +75,6 @@ from .flagvec import (
     point_flag,
     pyramid_flag,
 )
-from .linalg import LinearSolver
 
 MAX_BASIS_DEGREE = 12
 
@@ -325,18 +333,83 @@ def cd_index_flag(psi, d: int) -> FlagVector:
     return FlagVector.from_values(d, _subset_sums(_ab_coefficients(psi, d), d, 1))
 
 
+def _unit_lu(rows: list[dict[int, int]]) -> tuple:
+    """LU factors of a square integer matrix, pivoting down its diagonal.
+
+    `rows` holds each row as {column: entry} and is consumed.  Step j is
+    (pivot, the multipliers (i, l) that clear column j below row j, the
+    entries of row j right of the pivot).  Raises ValueError unless every
+    pivot is 1 or -1, so the factors, and every solve, stay integral.
+    """
+    steps = []
+    for j, prow in enumerate(rows):
+        p = prow.pop(j, 0)
+        if p not in (1, -1):
+            raise ValueError(f"pivot {p} in column {j} is not a unit")
+        below = []
+        for i in range(j + 1, len(rows)):
+            row = rows[i]
+            a = row.pop(j, 0)
+            if a:
+                for k, v in prow.items():
+                    row[k] = row.get(k, 0) - a * p * v
+                below.append((i, a * p))
+        steps.append((p, tuple(below), tuple((k, v) for k, v in prow.items() if v)))
+    return tuple(steps)
+
+
+def _lu_solve(steps: tuple, v: list[int]) -> list[int]:
+    """Overwrite v with the solution x of A x = v, A factored by `_unit_lu`."""
+    for j, (_, below, _) in enumerate(steps):
+        if v[j]:
+            for i, l in below:
+                v[i] -= l * v[j]
+    for j in reversed(range(len(v))):
+        p, _, right = steps[j]
+        v[j] = p * (v[j] - sum(u * v[k] for k, u in right))
+    return v
+
+
 @lru_cache(maxsize=None)
-def _basis_solver(d: int) -> LinearSolver:
-    check_basis_degree(d)
-    # P_d: one row per degree-d word, its cd-index; the unknowns are the word
-    # coefficients, so solve against the transpose
-    rows = [[word_cd(w).get(m, 0) for m in cd_monomials(d)] for w in cd_words(d)]
-    return LinearSolver([list(col) for col in zip(*rows)])
+def _letter_factor(d: int) -> tuple:
+    """The unit-pivot factors of M_d, for d >= 2.
+
+    The columns of M_d are the pyramids of the degree-(d-1) monomials, then
+    the diamonds of the degree-(d-2) monomials, so M_d (alpha, beta) is
+    pyramid(alpha) + diamond(beta).  Column j pivots on row j of
+    `cd_monomials(d)`: the pyramid of m on row cm, the diamond of m on dm.
+    """
+    index = {m: i for i, m in enumerate(cd_monomials(d))}
+    images = [pyramid_cd({m: 1}) for m in cd_monomials(d - 1)]
+    images += [diamond_cd({m: 1}) for m in cd_monomials(d - 2)]
+    rows = [{} for _ in images]
+    for j, image in enumerate(images):
+        for m, k in image.items():
+            rows[index[m]][j] = k
+    return _unit_lu(rows)
+
+
+def _coordinates(v: list[int], d: int) -> list[int]:
+    """Word coefficients of a degree-d cd-polynomial, in `cd_words(d)` order.
+
+    v holds its coefficients in `cd_monomials(d)` order and is overwritten.
+    """
+    if d < 2 or not any(v):
+        return v  # P_0 and P_1 are the 1 x 1 identity
+    _lu_solve(_letter_factor(d), v)
+    # v is now alpha, the words after a C, then beta, the words after a D
+    n = len(cd_words(d - 1))
+    return _coordinates(v[:n], d - 1) + _coordinates(v[n:], d - 2)
 
 
 def cd_coordinates(psi, d: int) -> CDVector:
-    """CD-coordinates of a degree-d cd-polynomial: the one solve against P_d."""
-    x = _basis_solver(d).solve([psi.get(m, 0) for m in cd_monomials(d)])
+    """CD-coordinates of a degree-d cd-polynomial, solved one letter at a time."""
+    check_basis_degree(d)
+    monomials = cd_monomials(d)
+    stray = psi.keys() - set(monomials)
+    if stray:
+        raise ValueError(f"not cd-monomials of degree {d}: {sorted(map(repr, stray))}")
+    x = _coordinates([psi.get(m, 0) for m in monomials], d)
     return CDVector(d, dict(zip(cd_words(d), x)))
 
 

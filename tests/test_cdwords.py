@@ -1,6 +1,8 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,10 @@ from polyhvec import (
 )
 from polyhvec.cdwords import (
     MAX_BASIS_DEGREE,
-    _basis_solver,
+    _letter_factor,
+    _lu_solve,
+    _unit_lu,
+    cd_coordinates,
     cd_index,
     cd_index_flag,
     cd_monomials,
@@ -238,9 +243,80 @@ def test_linalg_matches_fraction_gauss_jordan(rows, data):
 
 
 def test_basis_matrices_are_unimodular():
+    # det P_d = det M_d * det P_(d-1) * det P_(d-2), so unit pivots in every
+    # M_d make every P_d unimodular
     assert cd_monomials(4) == ("cccc", "ccd", "cdc", "dcc", "dd")
-    for d in range(11):
-        _basis_solver(d)  # raises unless P_d has det +-1
+    dets = [1, 1]
+    for d in range(2, MAX_BASIS_DEGREE + 1):
+        steps = _letter_factor(d)  # raises unless every pivot is +-1
+        assert len(steps) == len(cd_words(d))
+        det_m = math.prod(p for p, _, _ in steps)
+        assert det_m in (1, -1)
+        dets.append(det_m * dets[-1] * dets[-2])
+    for d in range(9):
+        assert mat_det(basis_cd_rows(d)) == dets[d]
+
+
+def test_unit_lu_refuses_other_pivots():
+    with pytest.raises(ValueError):
+        _unit_lu([{0: 2}, {1: 1}])  # invertible, but not over the integers
+    with pytest.raises(ValueError):
+        _unit_lu([{1: 1}, {0: 1}])  # unimodular, but needs a row swap
+    with pytest.raises(ValueError):
+        _unit_lu([{0: 1, 1: 1}, {0: 1, 1: 1}])  # singular: pivot 0 after a step
+    steps = _unit_lu([{0: -1, 1: 2}, {0: 3, 1: -5}])
+    assert steps == ((-1, ((1, -3),), ((1, 2),)), (1, (), ()))
+    assert _lu_solve(steps, [1, 0]) == [5, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(unimodular_matrices(), st.data())
+def test_unit_lu_solves_when_every_leading_minor_is_a_unit(rows, data):
+    n = len(rows)
+    sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
+    if any(mat_det([r[:k] for r in rows[:k]]) not in (1, -1) for k in range(1, n)):
+        with pytest.raises(ValueError):
+            _unit_lu(sparse)
+        return
+    b = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    assert _lu_solve(_unit_lu(sparse), list(b)) == LinearSolver(rows).solve(b)
+
+
+def basis_cd_rows(d):
+    """P_d: one row per degree-d word, its cd-index."""
+    return [[word_cd(w).get(m, 0) for m in cd_monomials(d)] for w in cd_words(d)]
+
+
+@lru_cache(maxsize=None)
+def basis_oracle(d):
+    """A dense solver for P_d transposed, whose unknowns are word coefficients."""
+    return LinearSolver([list(col) for col in zip(*basis_cd_rows(d))])
+
+
+@st.composite
+def cd_polynomials(draw):
+    d = draw(st.integers(0, 10))
+    monomials = cd_monomials(d)
+    coeff = st.just(0) | st.integers(-(10**6), 10**6)
+    coeffs = draw(st.lists(coeff, min_size=len(monomials), max_size=len(monomials)))
+    return dict(zip(monomials, coeffs)), d
+
+
+@settings(max_examples=80, deadline=None)
+@given(cd_polynomials())
+def test_cd_coordinates_match_a_dense_solve(case):
+    psi, d = case
+    x = basis_oracle(d).solve([psi.get(m, 0) for m in cd_monomials(d)])
+    assert cd_coordinates(psi, d) == CDVector(d, dict(zip(cd_words(d), x)))
+
+
+def test_cd_coordinates_refuse_stray_monomials():
+    assert cd_coordinates({"cc": 1, "d": 0}, 2) == word_vector("CC") - word_vector("D")
+    for psi in ({"cc": 1, "ccc": 5}, {"cc": 1, "x": 3}, {3: 1}, {"": 1}):
+        with pytest.raises(ValueError):
+            cd_coordinates(psi, 2)
+    with pytest.raises(FaceCountLimitError):
+        cd_coordinates({}, MAX_BASIS_DEGREE + 1)
 
 
 def test_word_cd_examples():

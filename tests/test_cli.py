@@ -280,6 +280,36 @@ def test_change_of_basis_builds_no_word_flags(capsys, monkeypatch):
     assert word_flag.cache_info().misses == 0
 
 
+def test_solve_folds_no_words_and_inverts_no_matrix():
+    # counts, not time, so it holds on any machine: a fresh process solves
+    # for CD-coordinates through the letter factors alone, with no P_d fold
+    # (word_cd) and no dense inverse (LinearSolver)
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from polyhvec import cdwords, cli, linalg\n"
+        "built = []\n"
+        "init = linalg.LinearSolver.__init__\n"
+        "def counted(self, rows):\n"
+        "    built.append(len(rows))\n"
+        "    init(self, rows)\n"
+        "linalg.LinearSolver.__init__ = counted\n"
+        "code = cli.main(['hvec', 'cube(10)', '--format', 'json'])\n"
+        "folds = cdwords.word_cd.cache_info().misses\n"
+        "print(code, folds, len(built), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim"] == 10
+    assert proc.stderr.split() == ["0", "0", "0"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
