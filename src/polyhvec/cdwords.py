@@ -11,13 +11,16 @@ The prism operator I is not a letter here: it expands via
 I(Cw) = CCw + Dw, I(Dw) = D I(w), I(pt) = C(pt).
 
 The change of basis goes through the cd-index (Bayer and Klapper,
-Discrete Comput. Geom. 6, 1991).  The ab-word of a dimension set S of a
-dimension-d flag vector has b at position i iff i is in S; the ab-index
-is the sum of the flag h-numbers times their ab-words, and with c = a + b
-and d = ab + ba it is a polynomial in c and d.  With c of degree one and
-d of degree two, the degree-d monomials are the degree-d words in lower
-case (`cd_monomials`), as many as the Bayer-Billera sparse sets (Bayer
-and Billera, Invent. Math. 79, 1985).
+Discrete Comput. Geom. 6, 1991), a polynomial in noncommuting c and d,
+with c of degree one and d of degree two.  The degree-d monomials are the
+degree-d words in lower case (`cd_monomials`), as many as the
+Bayer-Billera sparse sets (Bayer and Billera, Invent. Math. 79, 1985).
+Write s_i = 1 when i is in the dimension set S and 0 otherwise.  The flag
+entry at S is the cd-index read one letter at a time: a c at position i
+weighs 1 + s_i, and a d at positions i, i + 1 weighs s_i + s_(i+1)
+(c = a + b and d = ab + ba, with a read as 1 and b as s_i).  So for
+Psi = cX + dY, F(Psi)[S] = (1 + s_0) F(X)[S >> 1] + (s_0 + s_1) F(Y)[S >> 2],
+and `cd_index_flag` expands by that recursion.
 
 * Operators (`pyramid_cd`, `prism_cd`, `diamond_cd`, `dual_cd`): the
   derivations of Ehrenborg and Readdy (J. Algebraic Combin. 8, 1998).
@@ -29,16 +32,14 @@ and Billera, Invent. Math. 79, 1985).
   diamond over a word, with no flag vector built: CCC folds to
   c^3 + 2cd + 2dc, and D to d.
 * Split (`cd_index`), only where a flag vector comes in (a product's
-  base, `to_cd_basis`): inclusion-exclusion turns all 2^d flag entries
-  into the dense ab-index.  Write Psi = cX + dY with X of degree d - 1
-  and Y of degree d - 2.  After a leading a the ab-index reads X + bY,
-  after a leading b it reads X + aY; so the words starting ab and bb fix
-  Y, the words starting aa and bb fix X, and the words starting ba must
-  give Y once more.  So each level reads all its entries and passes
-  exactly when they are the ab-index of cX + dY, with X and Y forced.
-  By induction on the degree, recursing on X and Y returns the cd-index
-  when one exists, and it is unique; otherwise the split raises
-  `NotInCDSpanError` at the first level that disagrees.
+  base, `to_cd_basis`): the same recursion backwards.  With X of degree
+  d - 1 and Y of degree d - 2, the masks 4r, 4r+1, 4r+2 give
+  X(2r) = f(4r), Y(r) = f(4r+1) - 2 f(4r) and X(2r+1) = f(4r+2) - Y(r),
+  and the mask 4r+3 must read f(4r+3) = 2 f(4r+2); at degree 1,
+  f(1) = 2 f(0).  So each level reads every entry, either to define X
+  and Y or to check it.  By induction on the degree, recursing on X and
+  Y returns the cd-index when one exists, and it is unique; otherwise the
+  split raises `NotInCDSpanError` at the first level that disagrees.
 * Solve (`cd_coordinates`), the only code that turns a cd-index into
   CD-coordinates; an expression's cd-index goes there with no split.
   The cd-index of a word Cw is the pyramid of that of w, and that of Dw
@@ -275,25 +276,51 @@ def word_cd(w: str) -> MappingProxyType:
     return MappingProxyType(step(word_cd(w[1:])))
 
 
-def _split(ab: list[int], n: int) -> dict[str, int]:
-    """The cd-polynomial cX + dY whose dense degree-n ab-index is `ab`.
+def _check_monomials(psi, d: int):
+    """Raise ValueError unless d >= 0 and every key of psi is a degree-d cd-monomial."""
+    stray = psi.keys() - set(cd_monomials(d))
+    if stray:
+        raise ValueError(f"not cd-monomials of degree {d}: {sorted(map(repr, stray))}")
 
-    aa r is X(a r), bb r is X(b r), ab r - bb r is Y(r) and so is ba r - aa r.
-    """
-    if not any(ab):
+
+def _expand(psi, n: int) -> list[int]:
+    """Flag entries of a degree-n cd-polynomial by bitmask, one letter at a time."""
+    if not psi:
+        return [0] * (1 << n)
+    if n < 2:
+        k = psi.get("c" * n, 0)
+        return [k, 2 * k] if n else [k]
+    x = _expand({m[1:]: k for m, k in psi.items() if m[0] == "c"}, n - 1)
+    y = _expand({m[1:]: k for m, k in psi.items() if m[0] == "d"}, n - 2)
+    out, pairs = [], iter(x)
+    # masks 4r, 4r+1, 4r+2, 4r+3: s_0 s_1 = 00, 10, 01, 11
+    for x0, x1, t in zip(pairs, pairs, y):
+        out += (x0, 2 * x0 + t, x1 + t, 2 * (x1 + t))
+    return out
+
+
+def cd_index_flag(psi, d: int) -> FlagVector:
+    """Flag vector of a degree-d cd-polynomial, read one letter at a time."""
+    _check_monomials(psi, d)
+    return FlagVector.from_values(d, _expand(psi, d))
+
+
+def _split(f, n: int) -> dict[str, int]:
+    """The cd-polynomial cX + dY whose degree-n flag entries are `f`."""
+    if not any(f):
         return {}
-    if n == 0:
-        return {"": ab[0]}
-    if n == 1:
-        if ab[0] != ab[1]:
+    if n < 2:
+        if n and f[1] != 2 * f[0]:
             raise NotInCDSpanError("flag vector is not a CD combination")
-        return {"c": ab[0]}
-    quarter = range(1 << (n - 2))
-    # masks 4r, 4r+1, 4r+2, 4r+3 start with aa, ba, ab, bb
-    y = [ab[4 * r + 2] - ab[4 * r + 3] for r in quarter]
-    if any(ab[4 * r + 1] - ab[4 * r] != y[r] for r in quarter):
-        raise NotInCDSpanError("flag vector is not a CD combination")
-    x = [ab[2 * m + (m & 1)] for m in range(1 << (n - 1))]  # from aa and bb
+        return {"c" * n: f[0]}
+    x, y = [], []
+    quads = iter(f)  # masks 4r, 4r+1, 4r+2, 4r+3
+    for f0, f1, f2, f3 in zip(quads, quads, quads, quads):
+        if f3 != 2 * f2:
+            raise NotInCDSpanError("flag vector is not a CD combination")
+        t = f1 - 2 * f0
+        y.append(t)
+        x += (f0, f2 - t)
     psi = {"c" + m: k for m, k in _split(x, n - 1).items()}
     psi.update(("d" + m, k) for m, k in _split(y, n - 2).items())
     return psi
@@ -301,36 +328,9 @@ def _split(ab: list[int], n: int) -> dict[str, int]:
 
 def cd_index(f: FlagVector) -> dict[str, int]:
     """The cd-index of f, split from all 2^d entries; NotInCDSpanError if none."""
-    return _split(_subset_sums(list(f.values), f.dim, -1), f.dim)
-
-
-def _ab_coefficients(psi, n: int) -> list[int]:
-    """Dense ab-index of a degree-n cd-polynomial, indexed by b-position mask."""
-    if not psi:
-        return [0] * (1 << n)
-    if n < 2:
-        return [psi.get("c" * n, 0)] * (1 << n)
-    x = _ab_coefficients({m[1:]: k for m, k in psi.items() if m[0] == "c"}, n - 1)
-    y = _ab_coefficients({m[1:]: k for m, k in psi.items() if m[0] == "d"}, n - 2)
-    out = [x[mask >> 1] for mask in range(1 << n)]
-    for mask in range(1 << n):
-        if (mask & 3) in (1, 2):
-            out[mask] += y[mask >> 2]
-    return out
-
-
-def _subset_sums(entries: list[int], d: int, sign: int) -> list[int]:
-    """In place, flag h-numbers to f-numbers (sign 1) or back (sign -1)."""
-    for i in range(d):
-        for mask in range(1 << d):
-            if mask >> i & 1:
-                entries[mask] += sign * entries[mask ^ (1 << i)]
-    return entries
-
-
-def cd_index_flag(psi, d: int) -> FlagVector:
-    """Flag vector of a degree-d cd-polynomial: its ab-index, then subset sums."""
-    return FlagVector.from_values(d, _subset_sums(_ab_coefficients(psi, d), d, 1))
+    if f.dim < 0:
+        raise ValueError("a cd-index needs dimension >= 0")
+    return _split(f.values, f.dim)
 
 
 def _unit_lu(rows: list[dict[int, int]]) -> tuple:
@@ -405,11 +405,8 @@ def _coordinates(v: list[int], d: int) -> list[int]:
 def cd_coordinates(psi, d: int) -> CDVector:
     """CD-coordinates of a degree-d cd-polynomial, solved one letter at a time."""
     check_basis_degree(d)
-    monomials = cd_monomials(d)
-    stray = psi.keys() - set(monomials)
-    if stray:
-        raise ValueError(f"not cd-monomials of degree {d}: {sorted(map(repr, stray))}")
-    x = _coordinates([psi.get(m, 0) for m in monomials], d)
+    _check_monomials(psi, d)
+    x = _coordinates([psi.get(m, 0) for m in cd_monomials(d)], d)
     return CDVector(d, dict(zip(cd_words(d), x)))
 
 

@@ -237,14 +237,14 @@ def is_buildable(e: Expr) -> bool:
     return True
 
 
-def face_count(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
+def face_count(e: Expr) -> int:
     """Number of faces, including the empty face and the body.
 
-    A count above `cap` comes back as cap + 1.
+    A count above DEFAULT_FACE_CAP comes back as DEFAULT_FACE_CAP + 1.
     """
     if not is_buildable(e):
         raise ValueError("expressions containing D denote no polytope lattice")
-    return face_count_bound(e, cap)
+    return face_count_bound(e)
 
 
 def face_count_bound(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
@@ -428,10 +428,10 @@ def _build(e: Expr) -> FaceLattice:
 
 
 @lru_cache(maxsize=None)
-def build_lattice(e: Expr, max_faces: int = DEFAULT_FACE_CAP) -> FaceLattice:
-    if face_count(e, max_faces) > max_faces:  # also rejects D
+def build_lattice(e: Expr) -> FaceLattice:
+    if face_count(e) > DEFAULT_FACE_CAP:  # also rejects D
         raise FaceCountLimitError(
-            f"{expr_str(e)} has more than {max_faces} faces, over the cap"
+            f"{expr_str(e)} has more than {DEFAULT_FACE_CAP} faces, over the cap"
         )
     return _build(e)
 

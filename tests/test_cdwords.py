@@ -18,6 +18,7 @@ from polyhvec import (
     cd_words,
     chain_count_flag,
     build_lattice,
+    empty_flag,
     expand_I,
     linear_combine,
     point_flag,
@@ -294,8 +295,8 @@ def basis_oracle(d):
 
 
 @st.composite
-def cd_polynomials(draw):
-    d = draw(st.integers(0, 10))
+def cd_polynomials(draw, max_degree=10):
+    d = draw(st.integers(0, max_degree))
     monomials = cd_monomials(d)
     coeff = st.just(0) | st.integers(-(10**6), 10**6)
     coeffs = draw(st.lists(coeff, min_size=len(monomials), max_size=len(monomials)))
@@ -315,6 +316,14 @@ def test_cd_coordinates_refuse_stray_monomials():
     for psi in ({"cc": 1, "ccc": 5}, {"cc": 1, "x": 3}, {3: 1}, {"": 1}):
         with pytest.raises(ValueError):
             cd_coordinates(psi, 2)
+        with pytest.raises(ValueError):
+            cd_index_flag(psi, 2)
+    # the expansion and the split refuse what is no degree-d cd-polynomial
+    for psi, d in (({"cc": 1}, 1), ({}, -1), ({"": 1}, -1)):
+        with pytest.raises(ValueError):
+            cd_index_flag(psi, d)
+    with pytest.raises(ValueError):
+        cd_index(empty_flag())
     with pytest.raises(FaceCountLimitError):
         cd_coordinates({}, MAX_BASIS_DEGREE + 1)
 
@@ -328,12 +337,93 @@ def test_word_cd_examples():
 
 
 def test_word_cd_matches_word_flags():
-    # the fold against the flag operators, on all 2^d entries; and the peel
+    # the fold against the flag operators, on all 2^d entries; and the split
     # of each word flag gives its fold back
     for d in range(10):
         for w in cd_words(d):
             assert cd_index_flag(word_cd(w), d) == word_flag(w), w
             assert cd_index(word_flag(w)) == word_cd(w), w
+
+
+def ab_route_flag(psi, n):
+    """Flag entries of a degree-n cd-polynomial through its dense ab-index.
+
+    The spec of `cd_index_flag`: the ab-index, indexed by b-position mask
+    (c = a + b, d = ab + ba), then subset sums from flag h- to f-numbers.
+    """
+
+    def ab_index(psi, n):
+        if not psi:
+            return [0] * (1 << n)
+        if n < 2:
+            return [psi.get("c" * n, 0)] * (1 << n)
+        x = ab_index({m[1:]: k for m, k in psi.items() if m[0] == "c"}, n - 1)
+        y = ab_index({m[1:]: k for m, k in psi.items() if m[0] == "d"}, n - 2)
+        out = [x[mask >> 1] for mask in range(1 << n)]
+        for mask in range(1 << n):
+            if (mask & 3) in (1, 2):
+                out[mask] += y[mask >> 2]
+        return out
+
+    return subset_sums(ab_index(psi, n), n, 1)
+
+
+def subset_sums(entries, d, sign):
+    """In place, flag h-numbers to f-numbers (sign 1) or back (sign -1)."""
+    for i in range(d):
+        for mask in range(1 << d):
+            if mask >> i & 1:
+                entries[mask] += sign * entries[mask ^ (1 << i)]
+    return entries
+
+
+def ab_route_index(f):
+    """The spec of `cd_index`: flag h-numbers, then a split of the ab-index."""
+
+    def split(ab, n):
+        # aa r is X(a r), bb r is X(b r), ab r - bb r is Y(r) and so is ba r - aa r
+        if not any(ab):
+            return {}
+        if n == 0:
+            return {"": ab[0]}
+        if n == 1:
+            if ab[0] != ab[1]:
+                raise NotInCDSpanError("flag vector is not a CD combination")
+            return {"c": ab[0]}
+        quarter = range(1 << (n - 2))
+        y = [ab[4 * r + 2] - ab[4 * r + 3] for r in quarter]
+        if any(ab[4 * r + 1] - ab[4 * r] != y[r] for r in quarter):
+            raise NotInCDSpanError("flag vector is not a CD combination")
+        x = [ab[2 * m + (m & 1)] for m in range(1 << (n - 1))]
+        psi = {"c" + m: k for m, k in split(x, n - 1).items()}
+        psi.update(("d" + m, k) for m, k in split(y, n - 2).items())
+        return psi
+
+    return split(subset_sums(list(f.values), f.dim, -1), f.dim)
+
+
+def split_or_refuse(split, f):
+    try:
+        return split(f)
+    except NotInCDSpanError:
+        return "refused"
+
+
+@settings(max_examples=60, deadline=None)
+@given(cd_polynomials(max_degree=12), st.data())
+def test_letter_weights_match_the_ab_index_route(case, data):
+    psi, d = case
+    f = cd_index_flag(psi, d)
+    assert list(f.values) == ab_route_flag(psi, d)
+    nonzero = {m: k for m, k in psi.items() if k}
+    assert cd_index(f) == ab_route_index(f) == nonzero
+    # one entry off by one: the same cd-index, or both refuse
+    values = list(f.values)
+    values[data.draw(st.integers(0, len(values) - 1))] += data.draw(
+        st.sampled_from((-1, 1))
+    )
+    g = FlagVector.from_values(d, values)
+    assert split_or_refuse(cd_index, g) == split_or_refuse(ab_route_index, g)
 
 
 def test_peel_is_triangular_with_unit_pivots():

@@ -224,16 +224,8 @@ def test_change_of_basis_degree_limit_fails_fast(capsys, argv):
 
 def test_expressions_take_no_split_round_trip(capsys, monkeypatch):
     # hvec, toric and JSON solve an expression's cd-index as it is: no flag
-    # vector is split back into a cd-index, and no flag vector is turned
-    # into flag h-numbers (subset sums with sign -1); JSON still expands
-    # the cd-index forward (sign 1) to print the flag entries
-    subset_sums = cdwords._subset_sums
-
-    def forward_only(entries, d, sign):
-        if sign != 1:
-            raise AssertionError("flag entries were turned back into h-numbers")
-        return subset_sums(entries, d, sign)
-
+    # vector is split back into a cd-index; JSON still expands the cd-index
+    # forward to print the flag entries
     def refuse(*_):
         raise AssertionError("a flag vector was split into its cd-index")
 
@@ -242,8 +234,6 @@ def test_expressions_take_no_split_round_trip(capsys, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is cdwords.cd_index:
                     monkeypatch.setattr(module, attr, refuse)
-                elif value is subset_sums:
-                    monkeypatch.setattr(module, attr, forward_only)
     for argv in (
         ("hvec", "cube(10)"),
         ("toric", "DDDDD(pt)"),
@@ -403,6 +393,24 @@ PINNED_STDOUT = [
     (
         ("flag", "dual(CIDC(pt))"),
         "3b6b701b180993bb191ffde22a6b0e2a364000d907987c2e655967b2a00f5138",
+    ),
+    # a d = 8 product's split and expansion, a d = 11 virtual word, a
+    # degree-12 solve, and every word up to degree 9
+    (
+        ("flag", "prod(simplex(4),crosspoly(4))"),
+        "d9db1afa1330e875d188c2f1959db7941fde7b9c8dc3fed515e783698ad3de92",
+    ),
+    (
+        ("flag", "DDDDDC(pt)"),
+        "6bd4882dd0aec07382642914e529ecb2342bffd09d5abf511d083ad43b4402ad",
+    ),
+    (
+        ("hvec", "crosspoly(12)", "--format", "json"),
+        "a0ab4762e6c76092b4ef3c102d2a4ab4595e76c455357a395c551a9113388016",
+    ),
+    (
+        ("table", "--max-dim", "9", "--format", "json"),
+        "18f147f31f20b9f5ca0196a3fc0c619ecb8e4309b62956ac821fb356fe04d562",
     ),
 ] + [
     # a JSON record is the same whichever of hvec, toric and flag asks for it
