@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
+from operator import add
 
 from .cdwords import (
     basis_matrix,
@@ -27,7 +29,7 @@ from .cdwords import (
     word_vector,
 )
 from .errors import ExprParseError, FaceCountLimitError, NotInCDSpanError
-from .flagvec import dim_subsets, subset_masks
+from .flagvec import dim_subsets
 from .hvector import h_of_cdvector, toric_of_cdvector
 from .lattice import (
     DEFAULT_FACE_CAP,
@@ -37,7 +39,6 @@ from .lattice import (
     face_count_bound,
     parse_expr,
 )
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -50,27 +51,39 @@ def format_dimset(S) -> str:
     return "{" + ",".join(map(str, S)) + "}"
 
 
-def flag_rows(flag):
-    """(dimension set, value) of every set, in `dim_subsets` order."""
-    d = flag.dim
-    return zip(dim_subsets(d), map(flag.values.__getitem__, subset_masks(d)))
+JSON_HEAD, TEXT_HEAD = ("[[", "],"), ("{", "}: ")  # around a set's elements
 
 
-def full_record(input_str: str, flag, cd) -> dict:
-    """The JSON record of one input, from its flag vector and CD-coordinates."""
-    h = h_of_cdvector(cd)
-    toric = toric_of_cdvector(cd)
-    return {
-        "input": input_str,
-        "dim": flag.dim,
-        "flag": [[list(S), v] for S, v in flag_rows(flag)],
-        "h": [[str(key), list(poly.coeffs)] for key, poly in h.items()],
-        "toric": list(toric.coeffs),
-    }
+def flag_heads(d: int, start: str, end: str):
+    """For each set size r, shortest first, the heads of the r-sets, lazily."""
+    return (
+        (start + ",".join(map(str, S)) + end for S in combinations(range(d), r))
+        for r in range(max(d, 0) + 1)
+    )
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"))
+def flag_chunks(flag, heads, sep: str):
+    """Per set size, its rows (head, then value) in `dim_subsets` order, by `sep`."""
+    bits = [1 << t for t in range(flag.dim)]
+    value = flag.values.__getitem__
+    for r, level in enumerate(heads):
+        masks = map(sum, combinations(bits, r))
+        yield sep.join(map(add, level, map(str, map(value, masks))))
+
+
+def json_record(input_str: str, flag, cd, heads=None) -> str:
+    """The JSON record of one input; `heads` are its flag's JSON heads, if kept."""
+    rows = "],".join(flag_chunks(flag, heads or flag_heads(flag.dim, *JSON_HEAD), "],"))
+    h = _dump([[str(key), list(p.coeffs)] for key, p in h_of_cdvector(cd).items()])
+    toric = _dump(list(toric_of_cdvector(cd).coeffs))
+    return (
+        f'{{"input":{json.dumps(input_str)},"dim":{flag.dim},"flag":[{rows}]],'
+        f'"h":{h},"toric":{toric}}}'
+    )
+
+
+def _dump(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
 
 
 def cmd_single(args) -> int:
@@ -84,15 +97,16 @@ def cmd_single(args) -> int:
         )
     out = sys.stdout
     if args.command == "flag" and args.format == "text":
-        for S, v in flag_rows(eval_flag(expr)):
-            out.write(f"{format_dimset(S)}: {v}\n")
+        flag = eval_flag(expr)
+        for chunk in flag_chunks(flag, flag_heads(flag.dim, *TEXT_HEAD), "\n"):
+            out.write(chunk + "\n")
         return EXIT_OK
     d = expr_dim(expr)
     check_basis_degree(d)  # the rest needs CD-coordinates
     psi = eval_cd(expr)
     cd = cd_coordinates(psi, d)
     if args.format == "json":
-        out.write(_dump(full_record(args.input, cd_index_flag(psi, d), cd)) + "\n")
+        out.write(json_record(args.input, cd_index_flag(psi, d), cd) + "\n")
     elif args.command == "hvec":
         out.write(f"{h_of_cdvector(cd)}\n")
     else:
@@ -102,30 +116,22 @@ def cmd_single(args) -> int:
 
 def cmd_table(args) -> int:
     out = sys.stdout
+    head = JSON_HEAD if args.format == "json" else TEXT_HEAD
     for degree in range(args.max_dim + 1):
+        heads = list(map(list, flag_heads(degree, *head)))  # kept for every word
         for w in cd_words(degree):
             name = f"{w}(pt)" if w else "pt"
             flag = cd_index_flag(word_cd(w), degree)
-            record = full_record(name, flag, word_vector(w))
-            if args.format == "json":
-                out.write(_dump(record) + "\n")
-            else:
-                out.write(f"input: {record['input']}\n")
-                out.write(f"dim: {record['dim']}\n")
-                out.write(
-                    "flag: "
-                    + "  ".join(f"{format_dimset(S)}: {v}" for S, v in record["flag"])
-                    + "\n"
-                )
-                out.write(
-                    "h: "
-                    + "  ".join(
-                        f"{key}: [{','.join(map(str, coeffs))}]"
-                        for key, coeffs in record["h"]
-                    )
-                    + "\n"
-                )
-                out.write(f"toric: [{','.join(map(str, record['toric']))}]\n\n")
+            cd = word_vector(w)
+            if head is JSON_HEAD:
+                out.write(json_record(name, flag, cd, heads) + "\n")
+                continue
+            rows = "  ".join(flag_chunks(flag, heads, "  "))
+            h = "  ".join(f"{k}: {p.bracket()}" for k, p in h_of_cdvector(cd).items())
+            out.write(
+                f"input: {name}\ndim: {degree}\nflag: {rows}\nh: {h}\n"
+                f"toric: {toric_of_cdvector(cd).bracket()}\n\n"
+            )
     return EXIT_OK
 
 
@@ -150,6 +156,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all  # only verify needs the suites and linalg
+
     failed = False
     for name, counterexample in run_all(args.max_dim):
         if counterexample is None:

@@ -33,14 +33,6 @@ def dim_subsets(d: int):
     return out
 
 
-def subset_masks(d: int):
-    """The bitmask of each set of `dim_subsets(d)`, in that order, lazily."""
-    bits = [1 << t for t in range(d)]
-    return itertools.chain.from_iterable(
-        map(sum, itertools.combinations(bits, r)) for r in range(max(d, 0) + 1)
-    )
-
-
 @lru_cache(maxsize=None)
 def sets_by_mask(d: int) -> tuple[tuple[int, ...], ...]:
     """The dimension sets of a dimension-d flag vector, indexed by bitmask."""

@@ -8,16 +8,18 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import validate_record
 from polyhvec import cdwords, cli, flagvec, lattice
-from polyhvec.cdwords import word_flag
+from polyhvec.cdwords import word_flag, word_vector
 from polyhvec.errors import ExprParseError
-from polyhvec.flagvec import FlagVector
+from polyhvec.flagvec import FlagVector, dim_subsets, empty_flag, point_flag
+from polyhvec.hvector import h_of_cdvector, toric_of_cdvector
 from polyhvec.lattice import expr_str, face_count_bound, parse_expr
 from test_lattice import EDITS, any_expression, apply_edits
 
@@ -412,6 +414,16 @@ PINNED_STDOUT = [
         ("table", "--max-dim", "9", "--format", "json"),
         "18f147f31f20b9f5ca0196a3fc0c619ecb8e4309b62956ac821fb356fe04d562",
     ),
+    # text flag rows over 13 set sizes, and text table lines to degree 8,
+    # pinned before the writers went one set size at a time
+    (
+        ("flag", "simplex(12)"),
+        "5b591ee8ca94582cf2735b8aa47d3d5ac53dadcea450d69b17848ec88a879ede",
+    ),
+    (
+        ("table", "--max-dim", "8"),
+        "5db59c04e25bb78a1ffb52b732d0e589cfd7b694b77a80f84f772bd5e4bfaf3e",
+    ),
 ] + [
     # a JSON record is the same whichever of hvec, toric and flag asks for it
     ((command, text, "--format", "json"), digest)
@@ -444,13 +456,14 @@ def test_tracer_still_binds_the_package():
     assert proc.stderr.splitlines()[-1].startswith("PERFBENCH-TRACE")
 
 
-def test_cli_import_brings_in_no_dataclasses_or_inspect():
+def modules_cli_import_loads(names):
+    """Which of `names` a fresh `import polyhvec.cli` loads."""
     # every CLI call pays its imports; this counts modules, not time, so it
     # holds on any machine
     root = Path(__file__).resolve().parent.parent
     code = (
         "import sys; before = set(sys.modules); import polyhvec.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        f"print(sorted({set(names)!r} & (set(sys.modules) - before)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -460,7 +473,69 @@ def test_cli_import_brings_in_no_dataclasses_or_inspect():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_brings_in_no_dataclasses_or_inspect():
+    assert modules_cli_import_loads({"dataclasses", "inspect"}) == "[]"
+
+
+def test_cli_import_brings_in_no_verify_or_linalg():
+    # only the verify command reads the suites and the exact elimination
+    assert modules_cli_import_loads({"polyhvec.verify", "polyhvec.linalg"}) == "[]"
+
+
+def spec_rows(flag):
+    """(dimension set, value) of every set, in `dim_subsets` order."""
+    return [(S, flag.get(S)) for S in dim_subsets(flag.dim)]
+
+
+def spec_record(input_str, flag, cd):
+    """The JSON record, encoded as one dict through `json.dumps`."""
+    record = {
+        "input": input_str,
+        "dim": flag.dim,
+        "flag": [[list(S), v] for S, v in spec_rows(flag)],
+        "h": [[str(key), list(p.coeffs)] for key, p in h_of_cdvector(cd).items()],
+        "toric": list(toric_of_cdvector(cd).coeffs),
+    }
+    return json.dumps(record, separators=(",", ":"))
+
+
+def spec_text_rows(flag):
+    return [f"{cli.format_dimset(S)}: {v}" for S, v in spec_rows(flag)]
+
+
+@st.composite
+def wide_flags(draw):
+    """Flag vectors of dim -1..12 with entries of either sign, some past 2^64."""
+    d = draw(st.integers(-1, 12))
+    bound = draw(st.sampled_from([1, 30, 2**64, 2**200]))
+    rng = draw(st.randoms(use_true_random=False))
+    values = [rng.randint(-bound, bound) for _ in range(1 << max(d, 0))]
+    return FlagVector.from_values(d, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_flags(), st.text(max_size=8), st.sampled_from(["", "C", "DC", "CDDC"]))
+@example(empty_flag(), "empty", "")
+@example(point_flag(), "pt", "")
+@example(FlagVector.from_values(12, [2**64 + 1, -(2**70)] * 2048), "C^12", "DDDDDD")
+def test_flag_writers_match_the_dict_and_json_encoders(flag, text, w):
+    cd = word_vector(w)
+    spec = spec_record(text, flag, cd)
+    assert cli.json_record(text, flag, cd) == spec
+    json_heads = list(map(list, cli.flag_heads(flag.dim, *cli.JSON_HEAD)))
+    text_heads = list(map(list, cli.flag_heads(flag.dim, *cli.TEXT_HEAD)))
+    for _ in range(2):  # table keeps each degree's heads for all its words
+        assert cli.json_record(text, flag, cd, json_heads) == spec
+        line = "  ".join(cli.flag_chunks(flag, text_heads, "  "))
+        assert line == "  ".join(spec_text_rows(flag))
+    # text flag through the command itself
+    with mock.patch.object(cli, "eval_flag", lambda _: flag):
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["flag", "pt"]) == 0
+    assert out.getvalue() == "".join(row + "\n" for row in spec_text_rows(flag))
 
 
 def test_span_exit_code(capsys, monkeypatch):

@@ -17,7 +17,8 @@ from polyhvec import (
     prism_flag,
     pyramid_flag,
 )
-from polyhvec.flagvec import sets_by_mask, subset_masks
+from polyhvec.cli import flag_chunks, flag_heads
+from polyhvec.flagvec import sets_by_mask
 
 SEGMENT = pyramid_flag(point_flag())
 TRIANGLE = pyramid_flag(SEGMENT)
@@ -238,9 +239,12 @@ def test_mapping_and_value_constructors_agree(drawn, data):
     assert built.entries == dense.entries == nonzero
     in_order = [(S, nonzero[S]) for S in dim_subsets(d) if S in nonzero]
     assert built.items() == dense.items() == in_order
-    # the writers' order: `dim_subsets`, read through the masks
-    by_mask = [dense.values[m] for m in subset_masks(d)]
-    assert by_mask == [dense.get(S) for S in dim_subsets(d)]
+    # the writers' order: `dim_subsets`, one set size at a time, each set's
+    # head beside its own value
+    levels = [[S for S in dim_subsets(d) if len(S) == r] for r in range(max(d, 0) + 1)]
+    written = flag_chunks(dense, flag_heads(d, "<", ">"), ";")
+    rows = [[f"<{','.join(map(str, S))}>{dense.get(S)}" for S in L] for L in levels]
+    assert list(written) == list(map(";".join, rows))
     assert hash(built) == hash(dense)
     assert repr(built) == repr(dense)
     # unsorted and repeated elements too, and -1 and d anywhere
