@@ -8,13 +8,15 @@ exact integers.
 
 Exit codes: 0 ok, 1 verify failure, 2 parse/usage error, 3 face-count
 cap or change-of-basis degree limit exceeded, 4 input outside the CD span
-(only a product's flag vector, split into its cd-index, can be).
+(only a product's flag vector, split into its cd-index, can be), 141
+(128 + SIGPIPE) stdout closed by its reader, as in `... | head -1`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import combinations
 from operator import add
@@ -45,6 +47,7 @@ EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 EXIT_SPAN = 4
+EXIT_PIPE = 141
 
 
 def format_dimset(S) -> str:
@@ -221,7 +224,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # no traceback; the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ExprParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

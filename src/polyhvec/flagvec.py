@@ -14,15 +14,18 @@ Lookups use the extended convention: a query set may mention -1 (the
 empty face) and d (the body itself), and both are deleted before the
 lookup, because every chain of proper faces extends uniquely by those
 two.  This makes the chain-splice formulas for the pyramid and prism
-operators uniform.  On bitmasks the deletion is a shift and a mask.  The
-formulas themselves are cross-checked against lattice chain counting in
-the test suite, which is the source of truth for them.
+operators uniform.  On bitmasks every cut is a block map (see
+`pyramid_flag`), so each operator is a few list-slice additions per bit,
+not a Python step per bit of every set.  The formulas themselves are
+cross-checked against lattice chain counting in the test suite, which
+is the source of truth for them.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import add
 
 
 def dim_subsets(d: int):
@@ -149,15 +152,28 @@ def linear_combine(terms) -> FlagVector:
 
 
 def _splices(f: tuple[int, ...] | list[int], d: int, prism: bool) -> list[int]:
-    """Sum f over the cuts of each set S, made by clearing the lowest bit."""
-    body, twice = (1 << max(d, 0)) - 1, 2 if prism else 1
-    out = []
-    for S in range(1 << (d + 1)):
-        total, rest = (0 if prism and S & 1 else f[S >> 1]), S
-        while rest:
-            rest &= rest - 1
-            total += twice * f[(S ^ rest | rest >> 1) & body]
-        out.append(total)
+    """Sum f over the cuts of each set S, one slice of sets at a time."""
+    if d < 0:
+        return list(f)
+    n = 1 << d
+    out = [0] * (2 * n)
+    out[::2] = f  # the empty lower part: f[S >> 1], or 0 for a prism's odd S
+    if not prism:
+        out[1::2] = f
+    src = [2 * v for v in f] if prism else f
+    for t in range(d):  # the cut at bit t: S = lo | w | hi << (t + 1)
+        w = 1 << t
+        if 2 * t <= d:  # few lo: stride over hi, even and odd hi apart
+            for a in range(w, 2 * w):  # a = lo | w
+                part = src[a :: 2 * w]
+                out[a :: 4 * w] = map(add, out[a :: 4 * w], part)
+                b = a + 2 * w
+                out[b :: 4 * w] = map(add, out[b :: 4 * w], part)
+        else:  # few hi: one block of w sets each
+            for hi in range(n >> t):
+                a, b = hi << (t + 1) | w, (hi | 1) << t
+                out[a : a + w] = map(add, out[a : a + w], src[b : b + w])
+    out[n:] = map(add, out[n:], src)  # the full cut, t = d
     return out
 
 
@@ -171,11 +187,16 @@ def pyramid_flag(f: FlagVector) -> FlagVector:
     the two pieces may share their splice face; the extended lookup then
     counts each case with a single entry.
 
-    On bitmasks, a cut of S leaves `lower` (the bits below it) and `upper`
-    (the rest), and the spliced set is (lower | upper >> 1) & body, with
-    body = 2^d - 1: the shift lowers the joins and drops the bare apex
-    (-1), the mask drops the base (d), and as every lowered join lies at
-    or above the top of `lower`, the union merges exactly a shared face.
+    On bitmasks, the cut of S = lo | 1<<t | hi<<(t+1) at bit t < d keeps
+    lo | 1<<t in the base and lowers the joins hi << (t+1) by one, so it
+    reads lo | (hi|1) << t: the base's top face t and the lowest lowered
+    join merge when hi is odd.  The cut below every bit reads S >> 1 (the
+    bare apex, -1, drops out) and the cut at bit d reads S - 2^d (the
+    base, d, drops out).  As hi = 2j and 2j + 1 read the same entry, each
+    t is either, per lo, two runs of sets of stride 2^(t+2) from one run of
+    f of stride 2^(t+1), or, per hi, one block of 2^t sets from one block
+    of f; `_splices` takes the shorter loop, 2^t values of lo against
+    2^(d-t) of hi, so small t strides and large t takes contiguous blocks.
     """
     return FlagVector.from_values(f.dim + 1, _splices(f.values, f.dim, False))
 
@@ -189,10 +210,10 @@ def prism_flag(f: FlagVector) -> FlagVector:
     nothing, and a nonempty endpoint part carries a factor two for the
     choice of endpoint.
 
-    The spliced set of a cut is the pyramid's, (lower | upper >> 1) & body.
-    Only cut 0 can start the swept chain at dimension zero, so it is
-    skipped when bit 0 of S is set, and every later cut, with `lower`
-    nonempty, counts twice.
+    The spliced set of a cut is the pyramid's.  Only the cut below every
+    bit can start the swept chain at dimension zero, so it reads 0 for odd
+    S and f[S >> 1] for even S; every cut at a bit leaves a nonempty lower
+    part and counts twice, so those run the pyramid's blocks on 2f.
     """
     if f.dim < 0:
         raise ValueError("prism of the empty polytope is undefined")

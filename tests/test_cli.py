@@ -559,6 +559,34 @@ def test_verify_trivial_and_small(capsys):
     assert all(line.startswith("PASS ") for line in out.splitlines())
 
 
+def test_verify_max_dim_8_passes_every_suite_in_order(capsys):
+    # the benchmark's `verify` command, with every suite at full size
+    from polyhvec.verify import SUITES
+
+    code, out, _ = run_cli(capsys, "verify", "--max-dim", "8")
+    assert code == 0
+    assert len(SUITES) == 14
+    assert out.splitlines() == [f"PASS {name}" for name, _ in SUITES]
+
+
+def test_closed_stdout_exits_quietly_with_the_pipe_code():
+    # about 1.5 MB of rows, more than a pipe buffer holds, so the writer
+    # meets the closed pipe mid-run, as under `| head -1`
+    root = Path(__file__).resolve().parent.parent
+    with subprocess.Popen(
+        [sys.executable, "-m", "polyhvec", "flag", "simplex(16)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    ) as proc:
+        assert proc.stdout.readline() == b"{}: 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.EXIT_PIPE == 141
+    assert err == b""
+    assert "141" in cli.__doc__
+
+
 def test_verify_reports_corrupted_golden_value(capsys, monkeypatch):
     from polyhvec import verify
     from polyhvec.hpoly import EMPTY_KEY, KeyedPoly, angle

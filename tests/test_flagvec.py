@@ -221,6 +221,23 @@ def test_operators_match_the_splice_formulas(f):
         assert prism_flag(f) == splice_prism(f)
 
 
+@pytest.mark.parametrize("d", [9, 10, 11])
+def test_slice_kernel_matches_the_splice_formulas_beyond_the_drawn_range(d):
+    # every stride and block choice of the kernel at the largest dims that
+    # `verify` reaches, on entries no machine word holds
+    rng = random.Random(d)
+    values = tuple(
+        rng.choice((-1, 1)) * rng.randrange(2**64, 2**72) for _ in range(1 << d)
+    )
+    f = FlagVector.from_values(d, values)
+    assert pyramid_flag(f) == splice_pyramid(f)
+    assert prism_flag(f) == splice_prism(f)
+    if d == 9:
+        cone = splice_pyramid(f)
+        assert d_flag(f) == splice_prism(cone) - splice_pyramid(cone)
+    assert f.values is values  # the input keeps its own, unchanged tuple
+
+
 def lookup_spec(entries, d, dims):
     """The extended lookup written on a dict keyed by sorted tuples."""
     if any(t < -1 or t > d for t in dims):
