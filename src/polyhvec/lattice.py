@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cdwords import cd_index, cd_index_flag, diamond_cd, dual_cd, prism_cd, pyramid_cd
 from .errors import ExprParseError, FaceCountLimitError
@@ -84,63 +84,63 @@ Expr = (
 
 # every node's spelling and steps are in `_NODES`, after the lattices
 _WORD_RE = re.compile(r"[CDI]+\Z")
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<num>\d+)|(?P<punct>[(),]))")
+# one token per match; a character that starts no token is `bad`
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z]+)|(?P<num>\d+)|(?P<punct>[(),])|(?P<bad>\S))"
+)
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.lastgroup is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprParseError(
-                f"unexpected character {stripped[0]!r}", pos=len(text) - len(stripped)
-            )
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    return tokens
+def parse_expr(text: str) -> Expr:
+    """Parse the grammar above; every error carries its position in `text`.
 
+    The whole text is scanned first, so an unexpected character is the
+    first error.  Each unary level nests two calls and each prod one.
+    """
+    tokens = []  # (kind, value, pos), then the end of input
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprParseError(f"unexpected character {m[kind]!r}", pos=m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+    tokens.append((None, None, len(text)))
+    at = 0
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.idx = 0
-
-    def peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
-
-    def next(self, kind=None, value=None):
-        tok = self.peek()
-        if tok is None:
-            raise ExprParseError("unexpected end of input", pos=len(self.text))
-        if kind is not None and tok[0] != kind:
+    def take(kind, value=None):
+        nonlocal at
+        tok = tokens[at]
+        if tok[0] is None:
+            raise ExprParseError("unexpected end of input", pos=len(text))
+        if tok[0] != kind:
             raise ExprParseError(f"expected {kind}, found {tok[1]!r}", pos=tok[2])
         if value is not None and tok[1] != value:
             raise ExprParseError(f"expected {value!r}, found {tok[1]!r}", pos=tok[2])
-        self.idx += 1
+        at += 1
         return tok
 
-    def parse(self) -> Expr:
-        expr = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ExprParseError(f"trailing input {tok[1]!r}", pos=tok[2])
-        return expr
+    def arg(read):  # read's result, in parentheses
+        take("punct", "(")
+        got = read()
+        take("punct", ")")
+        return got
 
-    def expr(self) -> Expr:
-        kind, name, pos = self.next("name")
+    def number() -> int:
+        tok = take("num")
+        if len(tok[1]) > MAX_NUMBER_DIGITS:
+            raise ExprParseError(
+                f"number has more than {MAX_NUMBER_DIGITS} digits", pos=tok[2]
+            )
+        return int(tok[1])
+
+    def expr() -> Expr:
+        _, name, pos = take("name")
         if name == "pt":
             return Pt()
         if name == "prod":
-            self.next("punct", "(")
-            left = self.expr()
-            self.next("punct", ",")
-            right = self.expr()
-            self.next("punct", ")")
+            take("punct", "(")
+            left = expr()
+            take("punct", ",")
+            right = expr()
+            take("punct", ")")
             # a parsed product is buildable, so only the runs over it can hold
             # D: each node is walked once, by its innermost enclosing prod
             if not all(s.lattice for x in (left, right) for s, _ in _runs(x)[1]):
@@ -154,34 +154,25 @@ class _Parser:
             raise ExprParseError(f"unknown constructor {name!r}", pos=pos)
         least = _NODES[_BY_SPELLING[spellings[0]]].least
         if least is not None:  # a sized node
-            n = self.number_arg()
+            n = arg(number)
             if n < least:
                 raise ExprParseError(f"{name} needs n >= {least}, got {n}", pos=pos)
             return _BY_SPELLING[name](n)
-        body = self.one_arg()
+        body = arg(expr)
         for spelling in reversed(spellings):
             body = _BY_SPELLING[spelling](body)
         return body
 
-    def one_arg(self) -> Expr:
-        self.next("punct", "(")
-        body = self.expr()
-        self.next("punct", ")")
-        return body
+    # a frame of its own under `expr`: the frames a parse takes per level and
+    # in all fix the deepest nesting that parses before the recursion limit
+    def whole() -> Expr:
+        e = expr()
+        _, value, pos = tokens[at]
+        if value is not None:
+            raise ExprParseError(f"trailing input {value!r}", pos=pos)
+        return e
 
-    def number_arg(self) -> int:
-        self.next("punct", "(")
-        tok = self.next("num")
-        if len(tok[1]) > MAX_NUMBER_DIGITS:
-            raise ExprParseError(
-                f"number has more than {MAX_NUMBER_DIGITS} digits", pos=tok[2]
-            )
-        self.next("punct", ")")
-        return int(tok[1])
-
-
-def parse_expr(text: str) -> Expr:
-    return _Parser(text).parse()
+    return whole()
 
 
 def _runs(e: Expr):
@@ -277,14 +268,11 @@ def face_count_bound(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
 class FaceLattice:
     """Hasse diagram of a polytope, graded from the empty face to the body."""
 
-    __slots__ = ("dims", "covers_up", "bottom", "top", "_cache")
-
     def __init__(self, dims, covers_up, bottom, top):
         self.dims = tuple(dims)
         self.covers_up = tuple(tuple(c) for c in covers_up)
         self.bottom = bottom
         self.top = top
-        self._cache = {}
 
     @property
     def dim(self) -> int:
@@ -304,32 +292,70 @@ class FaceLattice:
                 counts[d] += 1
         return tuple(counts)
 
+    @cached_property
     def covers_down(self):
-        got = self._cache.get("covers_down")
-        if got is None:
-            got = [[] for _ in self.dims]
-            for lo, ups in enumerate(self.covers_up):
-                for hi in ups:
-                    got[hi].append(lo)
-            got = tuple(tuple(c) for c in got)
-            self._cache["covers_down"] = got
-        return got
+        got = [[] for _ in self.dims]
+        for lo, ups in enumerate(self.covers_up):
+            for hi in ups:
+                got[hi].append(lo)
+        return tuple(tuple(c) for c in got)
 
+    @cached_property
     def downsets(self):
         """Bitmask per face of everything weakly below it (itself included)."""
-        got = self._cache.get("downsets")
-        if got is None:
-            order = sorted(range(len(self.dims)), key=lambda i: self.dims[i])
-            down = [0] * len(self.dims)
-            covers_down = self.covers_down()
-            for i in order:
-                mask = 1 << i
-                for c in covers_down[i]:
-                    mask |= down[c]
-                down[i] = mask
-            got = tuple(down)
-            self._cache["downsets"] = got
-        return got
+        down = [0] * len(self)
+        for i in sorted(range(len(self)), key=self.dims.__getitem__):
+            mask = 1 << i
+            for c in self.covers_down[i]:
+                mask |= down[c]
+            down[i] = mask
+        return tuple(down)
+
+    @cached_property
+    def link_values(self):
+        """Every face's link flag vector as a tuple by bitmask: one upward DP.
+
+        The link of F, of dimension e = d - dim F - 1, counts the chains
+        F < H_1 < ... < H_k of proper faces by their dimensions less
+        dim F + 1.  Walking down from the body a level at a time, F gets per
+        level above it a bitmask of the faces there over F, from its covers'
+        masks; only the level just above keeps its masks.  A chain whose
+        lowest face H is j levels above F is H and a chain of H's link, so
+        the masks with lowest bit j (the slice [1 << j :: 2 << j]) sum those
+        H's tuples.  The body's and the facets' tuple is (1,), one empty
+        chain.  Face lattices are graded, which the walk needs.
+        """
+        d = self.dim
+        levels = [self.faces_of_dim(k) for k in range(-1, d + 1)]
+        pos = [0] * len(self)
+        for level in levels:
+            for idx, face in enumerate(level):
+                pos[face] = idx
+        values = [(1,)] * len(self)
+        above = {face: () for face in levels[d]}  # over a facet: only the body
+        for k in reversed(range(-1, d - 1)):
+            e = d - k - 1
+            level_above = {}  # per face of dim k, per dim k + 1 + j: faces over it
+            for face in levels[k + 1]:
+                masks = [0] * e
+                for up in self.covers_up[face]:
+                    masks[0] |= 1 << pos[up]
+                    for j, m in enumerate(above[up], 1):
+                        masks[j] |= m
+                vec = [0] * (1 << e)
+                vec[0] = 1
+                for j, m in enumerate(masks):
+                    level = levels[k + j + 2]
+                    tails = []
+                    while m:
+                        low = m & -m
+                        tails.append(values[level[low.bit_length() - 1]])
+                        m ^= low
+                    vec[1 << j :: 2 << j] = map(sum, zip(*tails))
+                level_above[face] = masks
+                values[face] = tuple(vec)
+            above = level_above
+        return tuple(values)
 
     def check_graded(self):
         for lo, ups in enumerate(self.covers_up):
@@ -378,10 +404,8 @@ def _product_lattice(A: FaceLattice, B: FaceLattice) -> FaceLattice:
 
 
 def _dual_lattice(L: FaceLattice) -> FaceLattice:
-    d = L.dim
-    dims = [d - 1 - k for k in L.dims]
-    covers = [list(c) for c in L.covers_down()]
-    return FaceLattice(dims, covers, L.top, L.bottom)
+    dims = [L.dim - 1 - k for k in L.dims]
+    return FaceLattice(dims, L.covers_down, L.top, L.bottom)
 
 
 def _prism_lattice(L: FaceLattice) -> FaceLattice:
@@ -440,67 +464,17 @@ def build_lattice(e: Expr) -> FaceLattice:
 # chain counting
 
 
-def _link_values(L: FaceLattice):
-    """Every face's link flag vector as a tuple by bitmask: one upward DP.
-
-    The link of F, of dimension e = d - dim F - 1, counts the chains
-    F < H_1 < ... < H_k of proper faces by their dimensions less
-    dim F + 1.  Walking down from the body a level at a time, F gets per
-    level above it a bitmask of the faces there over F, from its covers'
-    masks; only the level just above keeps its masks.  A chain whose
-    lowest face H is j levels above F is H and a chain of H's link, so
-    the masks with lowest bit j (the slice [1 << j :: 2 << j]) sum those
-    H's tuples.  Cached in `_cache`; the body's and the facets' tuple is
-    (1,), one empty chain.  Face lattices are graded, which the walk needs.
-    """
-    got = L._cache.get("link_values")
-    if got is not None:
-        return got
-    d = L.dim
-    levels = [L.faces_of_dim(k) for k in range(-1, d + 1)]
-    pos = [0] * len(L)
-    for level in levels:
-        for idx, face in enumerate(level):
-            pos[face] = idx
-    values = [(1,)] * len(L)
-    above = {face: () for face in levels[d]}  # over a facet: only the body
-    for k in reversed(range(-1, d - 1)):
-        e = d - k - 1
-        level_above = {}  # per face of dim k, per dim k + 1 + j: faces over it
-        for face in levels[k + 1]:
-            masks = [0] * e
-            for up in L.covers_up[face]:
-                masks[0] |= 1 << pos[up]
-                for j, m in enumerate(above[up], 1):
-                    masks[j] |= m
-            vec = [0] * (1 << e)
-            vec[0] = 1
-            for j, m in enumerate(masks):
-                level = levels[k + j + 2]
-                tails = []
-                while m:
-                    low = m & -m
-                    tails.append(values[level[low.bit_length() - 1]])
-                    m ^= low
-                vec[1 << j :: 2 << j] = map(sum, zip(*tails))
-            level_above[face] = masks
-            values[face] = tuple(vec)
-        above = level_above
-    got = L._cache["link_values"] = tuple(values)
-    return got
-
-
 def chain_count_flag(L: FaceLattice) -> FlagVector:
     """Count chains of nonempty proper faces, grouped by dimension set.
 
     The bottom face's link, read from the lattice's chain DP.
     """
-    return FlagVector.from_values(L.dim, _link_values(L)[L.bottom])
+    return FlagVector.from_values(L.dim, L.link_values[L.bottom])
 
 
 def interval_lattice(L: FaceLattice, lo: int, hi: int) -> FaceLattice:
     """The closed interval [lo, hi] regraded so lo plays the empty face."""
-    down = L.downsets()
+    down = L.downsets
     if not (down[hi] >> lo) & 1:
         raise ValueError("interval endpoints are not comparable")
     base = L.dims[lo]
@@ -525,7 +499,7 @@ def link_flag(L: FaceLattice, face: int) -> FlagVector:
     """
     if not 0 <= face < len(L) or face == L.bottom:
         raise ValueError(f"face {face} is not a nonempty face of the lattice")
-    return FlagVector.from_values(L.dim - L.dims[face] - 1, _link_values(L)[face])
+    return FlagVector.from_values(L.dim - L.dims[face] - 1, L.link_values[face])
 
 
 def total_link_vector(L: FaceLattice) -> GradedFlagVector:
@@ -534,7 +508,7 @@ def total_link_vector(L: FaceLattice) -> GradedFlagVector:
     The tuples of the lattice's chain DP, summed entrywise per grade.
     """
     by_dim = {}
-    for face, vec in enumerate(_link_values(L)):
+    for face, vec in enumerate(L.link_values):
         if face != L.bottom:
             by_dim.setdefault(L.dim - L.dims[face] - 1, []).append(vec)
     return GradedFlagVector(
@@ -548,7 +522,7 @@ def is_eulerian(L: FaceLattice) -> bool:
     Cubic in the face count; meant as a construction sanity gate on small
     lattices.
     """
-    down = L.downsets()
+    down = L.downsets
     n = len(L)
     for hi in range(n):
         m = down[hi]
@@ -638,7 +612,4 @@ def sample_expressions(max_dim: int) -> list[Expr]:
         by_dim[6].append(Prod(Cube(3), Simplex(3)))
         by_dim[6].append(Prod(Cube(2), Bipyr(Simplex(2))))
         by_dim[6].append(Prism(Prod(Simplex(2), Simplex(2))))
-    out = []
-    for group in by_dim:
-        out.extend(group)
-    return out
+    return [e for group in by_dim for e in group]

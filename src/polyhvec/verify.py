@@ -51,6 +51,7 @@ from .lattice import (
     Pt,
     Simplex,
     build_lattice,
+    eval_flag,
     expr_dim,
     expr_str,
     flag_of_lattice,
@@ -135,6 +136,8 @@ def check_oracle(max_dim: int):
         if flag_of_lattice(Prism(e)) != prism_flag(f):
             return f"prism vs lattice product on {expr_str(e)}"
     for e in sample_expressions(cap):
+        if eval_flag(e) != flag_of_lattice(e):
+            return f"cd-index evaluation vs lattice on {expr_str(e)}"
         if flag_of_lattice(Dual(e)) != dual_flag(flag_of_lattice(e)):
             return f"duality vs lattice reversal on {expr_str(e)}"
         if isinstance(e, Prod):
@@ -289,9 +292,3 @@ SUITES = [
     ("product-law", check_product_law),
     ("sign-check", check_sign),
 ]
-
-
-def run_all(max_dim: int):
-    """Run every suite; yields (name, counterexample-or-None)."""
-    for name, fn in SUITES:
-        yield name, fn(max_dim)

@@ -9,9 +9,11 @@ patching either side.  See the repository README for the derivation.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from helpers import validate_record
 from polyhvec import (
@@ -245,11 +247,13 @@ def test_criterion_09_product_law():
 
 def test_criterion_10_table_determinism():
     cmd = [sys.executable, "-m", "polyhvec", "table", "--max-dim", "10", "--format", "json"]
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     runs = []
     times = []
     for _ in range(2):
         start = time.perf_counter()
-        proc = subprocess.run(cmd, capture_output=True, timeout=120)
+        proc = subprocess.run(cmd, capture_output=True, env=env, timeout=120)
         times.append(time.perf_counter() - start)
         assert proc.returncode == 0, proc.stderr.decode()
         runs.append(proc.stdout)

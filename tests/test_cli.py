@@ -601,6 +601,29 @@ def test_verify_reports_corrupted_golden_value(capsys, monkeypatch):
     )
 
 
+def test_verify_checks_the_evaluation_the_cli_prints(capsys, monkeypatch):
+    # a dual step whose cd map is the identity: `hvec "crosspoly(4)"` then
+    # prints the 4-cube's h, and only the evaluation route sees it
+    broken = lattice._DUAL._replace(cd=lambda psi: psi)
+    runs = {
+        kind: tuple((broken if step is lattice._DUAL else step, k) for step, k in r)
+        for kind, r in lattice._UNARY_RUNS.items()
+    }
+    monkeypatch.setattr(lattice, "_UNARY_RUNS", runs)
+    monkeypatch.setattr(lattice, "_DUAL", broken)
+    lattice.eval_flag.cache_clear()
+    try:
+        assert run_cli(capsys, "hvec", "crosspoly(4)")[1] == "e: [1,4,6,4,1]\n"
+        code, out, _ = run_cli(capsys, "verify", "--max-dim", "6")
+    finally:
+        lattice.eval_flag.cache_clear()
+    assert code == 1
+    assert (
+        "FAIL oracle-equivalence: cd-index evaluation vs lattice on crosspoly(3)"
+        in out.splitlines()
+    )
+
+
 def test_verify_rejects_out_of_range_max_dim(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--max-dim", "9"])

@@ -95,6 +95,37 @@ def test_parse_errors_carry_positions():
         parse_expr("")
 
 
+NO_D = "prod arguments must be buildable (no D operator)"
+
+
+@pytest.mark.parametrize(
+    "text, message, pos",
+    [
+        ("C(p@t)", "unexpected character '@'", 3),
+        ("C(3) @", "unexpected character '@'", 5),  # the scan goes first
+        (" \tC(pt", "unexpected end of input", 6),
+        ("prod(D(pt),pt", "unexpected end of input", 13),  # before the D check
+        ("C(3)", "expected name, found '3'", 2),
+        ("simplex()", "expected num, found ')'", 8),
+        ("C pt", "expected punct, found 'pt'", 2),
+        ("prod(pt)", "expected ',', found ')'", 7),
+        ("C)pt(", "expected '(', found ')'", 1),
+        ("C(pt))", "trailing input ')'", 5),
+        ("IC(frob(pt))", "unknown constructor 'frob'", 3),
+        ("CIx(pt)", "unknown constructor 'CIx'", 0),
+        ("cube(1234567890)", "number has more than 9 digits", 5),
+        ("crosspoly(0)", "crosspoly needs n >= 1, got 0", 0),
+        ("prod(pt, prod(D(pt), pt))", NO_D, 9),  # the innermost offending prod
+        ("prod(D(pt),pt) x", NO_D, 0),  # checked at its ")", before the rest
+    ],
+)
+def test_every_parse_error_has_its_message_and_position(text, message, pos):
+    with pytest.raises(ExprParseError) as err:
+        parse_expr(text)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
 def test_nested_products_parse_in_linear_time(monkeypatch):
     # each prod walks only the runs over its arguments, not their subtrees
     calls = []
