@@ -4,7 +4,9 @@ The package computes, in exact integer arithmetic:
 
 * flag vectors of polytopes built from a small constructor grammar
   (point, pyramid, prism, bipyramid, dual, product, simplices, cubes,
-  cross-polytopes), from their cd-index or by lattice chain counting;
+  cross-polytopes), from their cd-index or by lattice chain counting,
+  and the total link vector: per link dimension, the sum of the faces'
+  link flag vectors;
 * the linear pyramid/prism/diamond/duality operators on cd-indices and,
   as their oracle, on flag vectors;
 * the CD-word basis and the exact change of basis both ways;
@@ -21,8 +23,6 @@ from .errors import (
 )
 from .flagvec import (
     FlagVector,
-    GradedFlagVector,
-    c_on_graded,
     d_flag,
     dim_subsets,
     dual_flag,

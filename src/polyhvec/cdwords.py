@@ -159,12 +159,6 @@ class CDVector:
     def __sub__(self, other):
         return self + other.scaled(-1)
 
-    def prefixed(self, letter: str) -> "CDVector":
-        step = {"C": 1, "D": 2}[letter]
-        return CDVector(
-            self.degree + step, {letter + w: c for w, c in self.coeffs.items()}
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, CDVector)

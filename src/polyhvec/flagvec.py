@@ -95,9 +95,6 @@ class FlagVector:
         """Nonzero (dimension set, value) pairs, shortest sets first."""
         return sorted(self.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
     def scaled(self, c) -> "FlagVector":
         return FlagVector.from_values(self.dim, [c * v for v in self.values])
 
@@ -106,11 +103,6 @@ class FlagVector:
 
     def __sub__(self, other):
         return linear_combine([(1, self), (-1, other)])
-
-    def __rmul__(self, c):
-        if not isinstance(c, int):
-            return NotImplemented
-        return self.scaled(c)
 
     def __eq__(self, other):
         return (
@@ -287,54 +279,3 @@ def dual_flag(f: FlagVector) -> FlagVector:
     for mask in range(1, 1 << d):
         reverse[mask] = reverse[mask >> 1] >> 1 | (mask & 1) << (d - 1)
     return FlagVector.from_values(d, [f.values[r] for r in reverse])
-
-
-class GradedFlagVector:
-    """A finite family of flag vectors indexed by grade, with dim == grade."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components=()):
-        clean = {}
-        for grade, f in dict(components).items():
-            if f.dim != grade:
-                raise ValueError(f"component at grade {grade} has dim {f.dim}")
-            if not f.is_zero():
-                clean[grade] = f
-        self.components = clean
-
-    def items(self):
-        return sorted(self.components.items())
-
-    def grades(self):
-        return sorted(self.components)
-
-    def component(self, grade: int) -> FlagVector:
-        return self.components.get(grade, FlagVector(grade, {}))
-
-    def __add__(self, other):
-        acc = dict(self.components)
-        for grade, f in other.components.items():
-            cur = acc.get(grade)
-            acc[grade] = f if cur is None else cur + f
-        return GradedFlagVector(acc)
-
-    def scaled(self, c) -> "GradedFlagVector":
-        return GradedFlagVector({g: f.scaled(c) for g, f in self.components.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedFlagVector)
-            and self.components == other.components
-        )
-
-    def __repr__(self):
-        body = ", ".join(f"{g}: {f!r}" for g, f in self.items())
-        return f"GradedFlagVector({{{body}}})"
-
-
-def c_on_graded(graded: GradedFlagVector) -> GradedFlagVector:
-    """Apply the pyramid operator componentwise, shifting every grade up by one."""
-    return GradedFlagVector(
-        {g + 1: pyramid_flag(f) for g, f in graded.components.items()}
-    )

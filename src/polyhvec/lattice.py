@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 
 from .cdwords import cd_index, cd_index_flag, diamond_cd, dual_cd, prism_cd, pyramid_cd
 from .errors import ExprParseError, FaceCountLimitError
-from .flagvec import FlagVector, GradedFlagVector, product_flag
+from .flagvec import FlagVector, product_flag
 
 DEFAULT_FACE_CAP = 10**6
 # far above any size under the face cap, far below int()'s digit limit
@@ -502,17 +502,19 @@ def link_flag(L: FaceLattice, face: int) -> FlagVector:
     return FlagVector.from_values(L.dim - L.dims[face] - 1, L.link_values[face])
 
 
-def total_link_vector(L: FaceLattice) -> GradedFlagVector:
-    """Sum of link flag vectors over all nonempty faces, graded by link dimension.
+def total_link_vector(L: FaceLattice) -> tuple[FlagVector, ...]:
+    """Sums of link flag vectors over the nonempty faces, one per link dimension.
 
-    The tuples of the lattice's chain DP, summed entrywise per grade.
+    Entry e + 1 sums the links of dimension e, from e = -1 (the body) to
+    d - 1 (the vertices): the tuples of the lattice's chain DP, summed
+    entrywise.
     """
-    by_dim = {}
+    by_dim = [[] for _ in range(L.dim + 1)]
     for face, vec in enumerate(L.link_values):
         if face != L.bottom:
-            by_dim.setdefault(L.dim - L.dims[face] - 1, []).append(vec)
-    return GradedFlagVector(
-        {e: FlagVector.from_values(e, map(sum, zip(*v))) for e, v in by_dim.items()}
+            by_dim[L.dim - L.dims[face]].append(vec)
+    return tuple(
+        FlagVector.from_values(i - 1, map(sum, zip(*v))) for i, v in enumerate(by_dim)
     )
 
 

@@ -10,6 +10,8 @@ since face counts grow too fast beyond that for a smoke run.
 
 from __future__ import annotations
 
+from operator import add
+
 from .cdwords import (
     basis_matrix,
     cd_flag,
@@ -20,8 +22,6 @@ from .cdwords import (
     word_vector,
 )
 from .flagvec import (
-    GradedFlagVector,
-    c_on_graded,
     d_flag,
     dual_flag,
     prism_flag,
@@ -157,10 +157,12 @@ def check_link_identities(max_dim: int):
     for e in link_identity_family(cap):
         f = flag_of_lattice(e)
         ell = total_link_vector(build_lattice(e))
-        cone_side = ell + c_on_graded(ell) + GradedFlagVector({f.dim: f})
+        lifted = [pyramid_flag(v) for v in ell]  # one link dimension up
+        cone_side = (ell[0], *map(add, ell[1:], lifted), lifted[-1] + f)
         if total_link_vector(build_lattice(Cone(e))) != cone_side:
             return f"link vector of the cone over {expr_str(e)}"
-        prism_side = ell + c_on_graded(ell).scaled(2)
+        twice = [v.scaled(2) for v in lifted]
+        prism_side = (ell[0], *map(add, ell[1:], twice), twice[-1])
         if total_link_vector(build_lattice(Prism(e))) != prism_side:
             return f"link vector of the prism over {expr_str(e)}"
     return None

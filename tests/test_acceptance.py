@@ -42,7 +42,6 @@ from polyhvec import (
     word_flag,
 )
 from polyhvec.cdwords import word_vector
-from polyhvec.flagvec import GradedFlagVector, c_on_graded
 from polyhvec.hpoly import X
 from polyhvec.lattice import (
     Bipyr,
@@ -211,11 +210,17 @@ def test_criterion_07_link_identities():
     for e in link_identity_family(6):
         f = flag_of_lattice(e)
         ell = total_link_vector(build_lattice(e))
-        cone_side = ell + c_on_graded(ell) + GradedFlagVector({f.dim: f})
+        lifted = [pyramid_flag(v) for v in ell]
+        cone_side = (ell[0], *(a + b for a, b in zip(ell[1:], lifted)), lifted[-1] + f)
         if total_link_vector(build_lattice(Cone(e))) != cone_side:
             bad = f"cone link identity at {expr_str(e)}"
             break
-        if total_link_vector(build_lattice(Prism(e))) != ell + c_on_graded(ell).scaled(2):
+        prism_side = (
+            ell[0],
+            *(a + b.scaled(2) for a, b in zip(ell[1:], lifted)),
+            lifted[-1].scaled(2),
+        )
+        if total_link_vector(build_lattice(Prism(e))) != prism_side:
             bad = f"prism link identity at {expr_str(e)}"
             break
     report(7, "total link vector identities", bad is None, bad or "")

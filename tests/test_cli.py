@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import validate_record
-from polyhvec import cdwords, cli, flagvec, lattice
+from polyhvec import cdwords, cli, flagvec, lattice, verify
 from polyhvec.cdwords import word_flag, word_vector
 from polyhvec.errors import ExprParseError
 from polyhvec.flagvec import FlagVector, dim_subsets, empty_flag, point_flag
@@ -454,6 +454,28 @@ def test_tracer_still_binds_the_package():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("PERFBENCH-TRACE")
+
+
+def test_tracer_times_every_verify_suite():
+    # `hvec` reaches no oracle function; `verify` reaches the links and
+    # every suite, each of which the tracer wraps
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracecli.py"), "verify"]
+        + ["--max-dim", "4"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [name for name, _ in verify.SUITES]
+    assert proc.stdout.splitlines() == [f"PASS {name}" for name in names]
+    head, _, report = proc.stderr.splitlines()[-1].partition(" ")
+    assert head == "PERFBENCH-TRACE"
+    timed = json.loads(report)["self_s"]
+    assert {f"verify.{name}" for name in names} | {"lattice.links"} <= set(timed)
 
 
 def modules_cli_import_loads(names):

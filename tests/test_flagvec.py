@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from polyhvec import (
     FlagVector,
-    GradedFlagVector,
-    c_on_graded,
     d_flag,
     dim_subsets,
     dual_flag,
@@ -28,8 +26,6 @@ SQUARE = prism_flag(SEGMENT)
 def test_constructor_normalises_zeros():
     f = FlagVector(2, {(0,): 0, (1,): 3})
     assert f.entries == {(1,): 3}
-    assert not f.is_zero()
-    assert FlagVector(2, {}).is_zero()
 
 
 def test_constructor_rejects_bad_dimsets():
@@ -275,22 +271,3 @@ def test_mapping_and_value_constructors_agree(drawn, data):
     for wrong in (dense.values[:-1], dense.values + (0,)):
         with pytest.raises(ValueError):
             FlagVector.from_values(d, wrong)
-
-
-def test_graded_vectors_and_c_shift():
-    ell_pt = GradedFlagVector({-1: empty_flag()})
-    assert c_on_graded(ell_pt) == GradedFlagVector({0: point_flag()})
-    assert c_on_graded(GradedFlagVector({})) == GradedFlagVector({})
-
-    ell_seg = GradedFlagVector({-1: empty_flag(), 0: point_flag().scaled(2)})
-    shifted = c_on_graded(ell_seg)
-    assert shifted == GradedFlagVector({0: point_flag(), 1: SEGMENT.scaled(2)})
-
-    total = ell_seg + shifted.scaled(2)
-    assert total.component(1) == SEGMENT.scaled(4)
-    assert total.grades() == [-1, 0, 1]
-
-
-def test_graded_vector_rejects_grade_mismatch():
-    with pytest.raises(ValueError):
-        GradedFlagVector({1: point_flag()})

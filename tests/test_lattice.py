@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,6 @@ from polyhvec import (
 )
 from polyhvec import hvector, lattice, verify
 from polyhvec.cdwords import cd_index
-from polyhvec.flagvec import GradedFlagVector, c_on_graded
 from polyhvec.lattice import (
     Bipyr,
     Cone,
@@ -37,6 +37,7 @@ from polyhvec.lattice import (
     Cube,
     Diamond,
     Dual,
+    FaceLattice,
     Prism,
     Prod,
     Pt,
@@ -357,32 +358,70 @@ def test_links_rebuild_no_interval_lattice(monkeypatch):
     assert verify.check_link_identities(6) is None
     ell = total_link_vector(build_lattice(Cube(5)))
     # the cube is simple: each of its 32 vertex links is a 4-simplex
-    assert ell.component(4) == chain_count_flag(build_lattice(Simplex(4))).scaled(32)
+    assert ell[5] == chain_count_flag(build_lattice(Simplex(4))).scaled(32)
     assert hvector.h_via_links(Cube(4)) == hvector.h_of_polytope(Cube(4))
 
 
+def test_link_identities_catch_a_broken_chain_dp(monkeypatch):
+    # euler-relation and oracle-equivalence read only the bottom face's
+    # tuple, so a wrong vertex link shows only in the summed links
+    honest = FaceLattice.link_values.func
+
+    def broken(L):
+        values = list(honest(L))
+        if L.dim >= 2:
+            for v in L.faces_of_dim(0):
+                values[v] = (values[v][0] + 1, *values[v][1:])
+        return tuple(values)
+
+    wrong = cached_property(broken)
+    wrong.__set_name__(FaceLattice, "link_values")
+    caches = (lattice.build_lattice, lattice.flag_of_lattice)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(FaceLattice, "link_values", wrong)
+    try:
+        found = verify.check_link_identities(6)
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert found == "link vector of the cone over simplex(1)"
+
+
+def test_total_link_vector_is_the_flag_vector_resliced():
+    # a chain whose lowest face has dimension k is that face and a chain of
+    # its link, of dimension d - 1 - k, so entry d - k is the slice of sets
+    # whose lowest element is k
+    for e in sample_expressions(6):
+        L = build_lattice(e)
+        d, f = L.dim, chain_count_flag(L)
+        if d < 0:
+            continue
+        ell = total_link_vector(L)
+        assert len(ell) == d + 1
+        assert ell[0] == empty_flag()
+        for k in range(d):
+            assert ell[d - k].values == f.values[1 << k :: 2 << k], (e, k)
+
+
 def test_total_link_vector_examples():
-    assert total_link_vector(build_lattice(Pt())) == GradedFlagVector(
-        {-1: empty_flag()}
-    )
+    assert total_link_vector(build_lattice(Pt())) == (empty_flag(),)
     seg_links = total_link_vector(build_lattice(Cone(Pt())))
-    assert seg_links == GradedFlagVector(
-        {-1: empty_flag(), 0: point_flag().scaled(2)}
-    )
+    assert seg_links == (empty_flag(), point_flag().scaled(2))
     tri_links = total_link_vector(build_lattice(Simplex(2)))
     segment = chain_count_flag(build_lattice(Cone(Pt())))
-    assert tri_links == GradedFlagVector(
-        {-1: empty_flag(), 0: point_flag().scaled(3), 1: segment.scaled(3)}
-    )
+    assert tri_links == (empty_flag(), point_flag().scaled(3), segment.scaled(3))
 
 
 def test_link_identities_small_dims():
     for e in sample_expressions(3):
         f = chain_count_flag(build_lattice(e))
         ell = total_link_vector(build_lattice(e))
-        cone_side = ell + c_on_graded(ell) + GradedFlagVector({f.dim: f})
+        lifted = [pyramid_flag(v) for v in ell]
+        cone_side = (ell[0], *(a + b for a, b in zip(ell[1:], lifted)), lifted[-1] + f)
         assert total_link_vector(build_lattice(Cone(e))) == cone_side
-        prism_side = ell + c_on_graded(ell).scaled(2)
+        twice = [v.scaled(2) for v in lifted]
+        prism_side = (ell[0], *(a + b for a, b in zip(ell[1:], twice)), twice[-1])
         assert total_link_vector(build_lattice(Prism(e))) == prism_side
 
 
