@@ -10,13 +10,13 @@ diamond operator on a point has an empty-chain count of zero); no
 polytopality is assumed anywhere.  `product_flag`, the flag vector of a
 product from its factors', is bilinear.
 
-Lookups use the extended convention: a query set may mention -1 (the
-empty face) and d (the body itself), and both are deleted before the
-lookup, because every chain of proper faces extends uniquely by those
-two.  This makes the chain-splice formulas for the pyramid and prism
-operators uniform.  On bitmasks every cut is a block map (see
-`pyramid_flag`), so each operator is a few list-slice additions per bit,
-not a Python step per bit of every set.  The formulas themselves are
+As a lookup convenience, `get` accepts the extended convention: a query
+set may mention -1 (the empty face) and d (the body itself), and both
+are deleted before the lookup, because every chain of proper faces
+extends uniquely by those two.  The operators make no lookups: on
+bitmasks every cut is a block map (see `pyramid_flag`), so each operator
+is a few list-slice additions per bit, not a Python step per bit of
+every set.  The formulas themselves are
 cross-checked against lattice chain counting in the test suite, which
 is the source of truth for them.
 """

@@ -14,11 +14,12 @@ are immutable tuples of their fields, each equal only to nodes of its
 own class, defined with no class decorator: every CLI call pays for
 this module's import.
 
-Faces are integer indices; only the combinatorics matter.  Lattices
-are immutable after build.  One exact integer chain DP per lattice,
-cached on it, gives every face's link flag vector; the bottom face's
-link is the lattice's own flag vector.  `interval_lattice`, which
-rebuilds a link as a lattice, is the DP's oracle in the tests.
+Faces are integer indices numbered level by level, from the empty face
+(0) to the body (the last); only the combinatorics matter.  Lattices are
+immutable after build.  One exact integer chain DP per lattice, cached on
+it, gives every face's link flag vector; the empty face's link is the
+lattice's own flag vector.  `interval_lattice`, which rebuilds a link as
+a lattice, is the DP's oracle in the tests.
 
 `_NODES` spells every node but the point and a product as runs of four
 steps, C, I, dual and D (B is dual, I, dual; cube(n) is C, then I n - 1
@@ -34,6 +35,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from itertools import accumulate, groupby, product
 
 from .cdwords import cd_index, cd_index_flag, diamond_cd, dual_cd, prism_cd, pyramid_cd
 from .errors import ExprParseError, FaceCountLimitError
@@ -238,27 +240,27 @@ def face_count(e: Expr) -> int:
     return face_count_bound(e)
 
 
-def face_count_bound(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
+def face_count_bound(e: Expr) -> int:
     """Upper bound on the work an expression needs, in face-count units.
 
     Exact for buildable expressions; virtual ones are covered through the
-    D bound.  A count above `cap` comes back as cap + 1, and every step
-    but dual (which keeps the count) at least doubles it, so a run of any
-    length saturates within log2(cap) steps.  The CLI's face cap uses it.
+    D bound.  A count above DEFAULT_FACE_CAP comes back as one more, and
+    every step but dual (which keeps the count) at least doubles it, so a
+    run of any length saturates within log2 of the cap.  The CLI uses it.
     """
     base, runs = _runs(e)
     n = 2
     if isinstance(base, Prod):
-        left = face_count_bound(base.left, cap)
-        n = (left - 1) * (face_count_bound(base.right, cap) - 1) + 1
+        left = face_count_bound(base.left)
+        n = (left - 1) * (face_count_bound(base.right) - 1) + 1
     for step, k in runs:
         for _ in range(k):
             n, before = step.faces(n), n
-            if n > cap:
-                return cap + 1
+            if n > DEFAULT_FACE_CAP:
+                return DEFAULT_FACE_CAP + 1
             if n == before:
                 break
-    return min(n, cap + 1)
+    return min(n, DEFAULT_FACE_CAP + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,31 +268,42 @@ def face_count_bound(e: Expr, cap: int = DEFAULT_FACE_CAP) -> int:
 
 
 class FaceLattice:
-    """Hasse diagram of a polytope, graded from the empty face to the body."""
+    """Hasse diagram of a polytope, graded from the empty face to the body.
 
-    def __init__(self, dims, covers_up, bottom, top):
-        self.dims = tuple(dims)
-        self.covers_up = tuple(tuple(c) for c in covers_up)
-        self.bottom = bottom
-        self.top = top
+    Faces are numbered level by level: face 0 is the empty face, the last
+    face is the body, and the faces of dimension k are the index range
+    `levels[k + 1]`.  The constructor refuses any other numbering, and any
+    cover that does not go up exactly one rank.
+    """
+
+    def __init__(self, dims, covers_up):
+        self.dims = dims = tuple(dims)
+        self.covers_up = tuple(map(tuple, covers_up))
+        keys, sizes = zip(*[(k, len(list(g))) for k, g in groupby(dims)])
+        if keys != tuple(range(-1, len(keys) - 1)) or {sizes[0], sizes[-1]} != {1}:
+            raise ValueError("faces are not numbered level by level, empty to body")
+        starts = [0, *accumulate(sizes)]
+        self.levels = tuple(map(range, starts, starts[1:]))
+        for lo, ups in enumerate(self.covers_up):
+            for hi in ups:
+                if dims[hi] != dims[lo] + 1:
+                    raise ValueError(f"cover of face {lo} by face {hi} skips a rank")
+
+    bottom = 0
+
+    @property
+    def top(self) -> int:
+        return len(self.dims) - 1
 
     @property
     def dim(self) -> int:
-        return self.dims[self.top]
+        return self.dims[-1]
 
     def __len__(self):
         return len(self.dims)
 
-    def faces_of_dim(self, k: int):
-        return [i for i, d in enumerate(self.dims) if d == k]
-
-    def face_counts(self) -> tuple[int, ...]:
-        """Numbers of proper nonempty faces, by dimension 0..d-1."""
-        counts = [0] * max(self.dim, 0)
-        for i, d in enumerate(self.dims):
-            if 0 <= d < self.dim:
-                counts[d] += 1
-        return tuple(counts)
+    def faces_of_dim(self, k: int) -> range:
+        return self.levels[k + 1] if -1 <= k <= self.dim else range(0)
 
     @cached_property
     def covers_down(self):
@@ -303,12 +316,12 @@ class FaceLattice:
     @cached_property
     def downsets(self):
         """Bitmask per face of everything weakly below it (itself included)."""
-        down = [0] * len(self)
-        for i in sorted(range(len(self)), key=self.dims.__getitem__):
+        down = []
+        for i, below in enumerate(self.covers_down):  # lower levels come first
             mask = 1 << i
-            for c in self.covers_down[i]:
+            for c in below:
                 mask |= down[c]
-            down[i] = mask
+            down.append(mask)
         return tuple(down)
 
     @cached_property
@@ -319,37 +332,34 @@ class FaceLattice:
         F < H_1 < ... < H_k of proper faces by their dimensions less
         dim F + 1.  Walking down from the body a level at a time, F gets per
         level above it a bitmask of the faces there over F, from its covers'
-        masks; only the level just above keeps its masks.  A chain whose
-        lowest face H is j levels above F is H and a chain of H's link, so
-        the masks with lowest bit j (the slice [1 << j :: 2 << j]) sum those
-        H's tuples.  The body's and the facets' tuple is (1,), one empty
-        chain.  Face lattices are graded, which the walk needs.
+        masks (bit i: the level's face start + i); only the level just above
+        keeps its masks.  A chain whose lowest face H is j levels above F is
+        H and a chain of H's link, so the masks with lowest bit j (the slice
+        [1 << j :: 2 << j]) sum those H's tuples.  The body's and the facets'
+        tuple is (1,), one empty chain.  The constructor checked the grading.
         """
         d = self.dim
-        levels = [self.faces_of_dim(k) for k in range(-1, d + 1)]
-        pos = [0] * len(self)
-        for level in levels:
-            for idx, face in enumerate(level):
-                pos[face] = idx
+        levels = self.levels
         values = [(1,)] * len(self)
         above = {face: () for face in levels[d]}  # over a facet: only the body
         for k in reversed(range(-1, d - 1)):
             e = d - k - 1
+            up_start = levels[k + 2].start
             level_above = {}  # per face of dim k, per dim k + 1 + j: faces over it
             for face in levels[k + 1]:
                 masks = [0] * e
                 for up in self.covers_up[face]:
-                    masks[0] |= 1 << pos[up]
+                    masks[0] |= 1 << (up - up_start)
                     for j, m in enumerate(above[up], 1):
                         masks[j] |= m
                 vec = [0] * (1 << e)
                 vec[0] = 1
                 for j, m in enumerate(masks):
-                    level = levels[k + j + 2]
+                    before = levels[k + j + 2].start - 1  # bit_length 1: its first face
                     tails = []
                     while m:
                         low = m & -m
-                        tails.append(values[level[low.bit_length() - 1]])
+                        tails.append(values[before + low.bit_length()])
                         m ^= low
                     vec[1 << j :: 2 << j] = map(sum, zip(*tails))
                 level_above[face] = masks
@@ -357,59 +367,63 @@ class FaceLattice:
             above = level_above
         return tuple(values)
 
-    def check_graded(self):
-        for lo, ups in enumerate(self.covers_up):
-            for hi in ups:
-                if self.dims[hi] != self.dims[lo] + 1:
-                    raise ValueError(
-                        f"cover of face {lo} by face {hi} skips a rank"
-                    )
 
-
-def _point_lattice() -> FaceLattice:
-    return FaceLattice([-1, 0], [(1,), ()], 0, 1)
+# the point, which every build starts from, and the segment, the prism's factor
+_POINT_LATTICE = FaceLattice([-1, 0], [(1,), ()])
+_SEGMENT = FaceLattice([-1, 0, 0, 1], [(1, 2), (3,), (3,), ()])
 
 
 def _cone_lattice(L: FaceLattice) -> FaceLattice:
-    # faces 0..n-1 are the base faces, n + i is the join of face i with the apex
+    # level k: L's faces of dim k, then the joins of L's faces of dim k - 1
+    # with the apex; fewer[k + 2] counts L's faces of dim < k.  Covers share
+    # one int per face: base[i] numbers L's face i here, join[i] its join
     n = len(L)
-    dims = list(L.dims) + [d + 1 for d in L.dims]
-    covers = [list(c) for c in L.covers_up]
-    for i in range(n):
-        covers[i].append(n + i)  # every face is covered by its own join
-    for i, ups in enumerate(L.covers_up):
-        covers.append([n + j for j in ups])
-    return FaceLattice(dims, covers, L.bottom, n + L.top)
+    fewer = [0, *(level.start for level in L.levels), n, n, n]
+    base = [i + fewer[k + 1] for i, k in enumerate(L.dims)]
+    join = [i + fewer[k + 4] for i, k in enumerate(L.dims)]
+    dims, covers = [], []
+    for k in range(-1, L.dim + 2):
+        for i in L.faces_of_dim(k):  # covered by its own join too
+            covers.append([base[j] for j in L.covers_up[i]] + [join[i]])
+        for i in L.faces_of_dim(k - 1):
+            covers.append([join[j] for j in L.covers_up[i]])
+        dims += [k] * (len(covers) - len(dims))
+    return FaceLattice(dims, covers)
 
 
 def _product_lattice(A: FaceLattice, B: FaceLattice) -> FaceLattice:
-    # nonempty faces are pairs of nonempty faces; one bottom is adjoined
-    a_faces = [i for i in range(len(A)) if A.dims[i] >= 0]
-    b_faces = [j for j in range(len(B)) if B.dims[j] >= 0]
-    index = {}
-    dims = [-1]
-    for i in a_faces:
-        for j in b_faces:
-            index[(i, j)] = len(dims)
-            dims.append(A.dims[i] + B.dims[j])
-    covers = [[] for _ in dims]
-    for (i, j), me in index.items():
-        if dims[me] == 0:
-            covers[0].append(me)
+    # nonempty faces are pairs of nonempty faces, level by level, over one bottom
+    pairs, dims = [None], [-1]
+    for k in range(A.dim + B.dim + 1):
+        for a in range(max(0, k - B.dim), min(k, A.dim) + 1):
+            pairs += product(A.levels[a + 1], B.levels[k - a + 1])
+        dims += [k] * (len(pairs) - len(dims))
+    index = dict(zip(pairs, range(len(pairs))))
+    covers = [range(1, 1 + len(A.levels[1]) * len(B.levels[1]))]  # the vertices
+    for i, j in pairs[1:]:  # plain loops: small comprehensions cost more
+        ups = []
         for i2 in A.covers_up[i]:
-            covers[me].append(index[(i2, j)])
+            ups.append(index[i2, j])
         for j2 in B.covers_up[j]:
-            covers[me].append(index[(i, j2)])
-    return FaceLattice(dims, covers, 0, index[(A.top, B.top)])
+            ups.append(index[i, j2])
+        covers.append(ups)
+    return FaceLattice(dims, covers)
 
 
 def _dual_lattice(L: FaceLattice) -> FaceLattice:
-    dims = [L.dim - 1 - k for k in L.dims]
-    return FaceLattice(dims, L.covers_down, L.top, L.bottom)
+    # reversed numbering: the body becomes face 0, and levels stay contiguous
+    last = len(L) - 1
+    dims = [L.dim - 1 - k for k in reversed(L.dims)]
+    covers = [[] for _ in dims]
+    for lo, ups in enumerate(L.covers_up):
+        me = last - lo  # one int per face, shared by its covers
+        for hi in ups:
+            covers[last - hi].append(me)
+    return FaceLattice(dims, covers)
 
 
 def _prism_lattice(L: FaceLattice) -> FaceLattice:
-    return _product_lattice(L, _cone_lattice(_point_lattice()))  # the segment
+    return _product_lattice(L, _SEGMENT)
 
 
 # the four steps: dimension step, faces after from faces before (D = IC - CC
@@ -444,7 +458,7 @@ def _build(e: Expr) -> FaceLattice:
     if isinstance(base, Prod):
         L = _product_lattice(_build(base.left), _build(base.right))
     else:
-        L = _point_lattice()
+        L = _POINT_LATTICE
     for step, k in runs:
         for _ in range(k):
             L = step.lattice(L)
@@ -467,9 +481,9 @@ def build_lattice(e: Expr) -> FaceLattice:
 def chain_count_flag(L: FaceLattice) -> FlagVector:
     """Count chains of nonempty proper faces, grouped by dimension set.
 
-    The bottom face's link, read from the lattice's chain DP.
+    The empty face's link, read from the lattice's chain DP.
     """
-    return FlagVector.from_values(L.dim, L.link_values[L.bottom])
+    return FlagVector.from_values(L.dim, L.link_values[0])
 
 
 def interval_lattice(L: FaceLattice, lo: int, hi: int) -> FaceLattice:
@@ -478,18 +492,11 @@ def interval_lattice(L: FaceLattice, lo: int, hi: int) -> FaceLattice:
     if not (down[hi] >> lo) & 1:
         raise ValueError("interval endpoints are not comparable")
     base = L.dims[lo]
-    members = [
-        c
-        for c in range(len(L))
-        if ((down[hi] >> c) & 1) and ((down[c] >> lo) & 1)
-    ]
-    members.sort(key=lambda c: L.dims[c])
+    members = [c for c in range(lo, hi + 1) if (down[hi] >> c) & (down[c] >> lo) & 1]
     index = {c: i for i, c in enumerate(members)}
     dims = [L.dims[c] - base - 1 for c in members]
-    covers = [
-        [index[u] for u in L.covers_up[c] if u in index] for c in members
-    ]
-    return FaceLattice(dims, covers, index[lo], index[hi])
+    covers = [[index[u] for u in L.covers_up[c] if u in index] for c in members]
+    return FaceLattice(dims, covers)
 
 
 def link_flag(L: FaceLattice, face: int) -> FlagVector:
@@ -497,7 +504,7 @@ def link_flag(L: FaceLattice, face: int) -> FlagVector:
 
     Read from the lattice's chain DP, with no interval rebuilt.
     """
-    if not 0 <= face < len(L) or face == L.bottom:
+    if not 0 < face < len(L):
         raise ValueError(f"face {face} is not a nonempty face of the lattice")
     return FlagVector.from_values(L.dim - L.dims[face] - 1, L.link_values[face])
 
@@ -507,14 +514,11 @@ def total_link_vector(L: FaceLattice) -> tuple[FlagVector, ...]:
 
     Entry e + 1 sums the links of dimension e, from e = -1 (the body) to
     d - 1 (the vertices): the tuples of the lattice's chain DP, summed
-    entrywise.
+    entrywise, one level of faces each.
     """
-    by_dim = [[] for _ in range(L.dim + 1)]
-    for face, vec in enumerate(L.link_values):
-        if face != L.bottom:
-            by_dim[L.dim - L.dims[face]].append(vec)
     return tuple(
-        FlagVector.from_values(i - 1, map(sum, zip(*v))) for i, v in enumerate(by_dim)
+        FlagVector.from_values(e, map(sum, zip(*L.link_values[lv.start : lv.stop])))
+        for e, lv in enumerate(reversed(L.levels[1:]), -1)
     )
 
 
@@ -525,24 +529,13 @@ def is_eulerian(L: FaceLattice) -> bool:
     lattices.
     """
     down = L.downsets
-    n = len(L)
-    for hi in range(n):
-        m = down[hi]
-        while m:
-            low = m & -m
-            lo = low.bit_length() - 1
-            m ^= low
-            if lo == hi:
-                continue
-            balance = 0
-            inner = down[hi]
-            while inner:
-                lowc = inner & -inner
-                c = lowc.bit_length() - 1
-                inner ^= lowc
-                if (down[c] >> lo) & 1:
-                    balance += -1 if (L.dims[c] - L.dims[lo]) % 2 else 1
-            if balance != 0:
+    for hi, below in enumerate(down):
+        for lo in range(hi):
+            if (below >> lo) & 1 and sum(
+                (-1) ** (L.dims[c] - L.dims[lo])
+                for c in range(lo, hi + 1)
+                if (below >> c) & (down[c] >> lo) & 1
+            ):
                 return False
     return True
 
