@@ -183,15 +183,9 @@ def h_via_links(e: Expr) -> KeyedPoly:
     (x - y)^d, its link being the empty polytope with g = 1.
     """
     L = build_lattice(e)
-    d = L.dim
-    total = KeyedPoly(d, {})
-    for face in range(len(L)):
-        if face == L.bottom:
-            continue
-        if face == L.top:
-            g = KeyedPoly(0, {EMPTY_KEY: ONE})
-        else:
-            g = g_of_cdvector(to_cd_basis(link_flag(L, face)))
+    total = KeyedPoly(L.dim, {EMPTY_KEY: x_minus_y_power(L.dim)})
+    for face in range(1, len(L) - 1):  # the nonempty proper faces
+        g = g_of_cdvector(to_cd_basis(link_flag(L, face)))
         total = total + g.mul_poly(x_minus_y_power(L.dims[face]))
     return total
 

@@ -15,11 +15,12 @@ own class, defined with no class decorator: every CLI call pays for
 this module's import.
 
 Faces are integer indices numbered level by level, from the empty face
-(0) to the body (the last); only the combinatorics matter.  Lattices are
-immutable after build.  One exact integer chain DP per lattice, cached on
-it, gives every face's link flag vector; the empty face's link is the
-lattice's own flag vector.  `interval_lattice`, which rebuilds a link as
-a lattice, is the DP's oracle in the tests.
+(0) to the body (the last); only the combinatorics matter.  A lattice
+holds one relation, `covers_up`, checked in full when it is built (one
+cover list per face, every index a face one rank up), and never changes.
+One exact integer chain DP per lattice, cached on it, gives every face's
+link flag vector; the empty face's link is the lattice's own flag vector.
+`interval_lattice`, which rebuilds a link as a lattice, is its oracle.
 
 `_NODES` spells every node but the point and a product as runs of four
 steps, C, I, dual and D (B is dual, I, dual; cube(n) is C, then I n - 1
@@ -272,22 +273,27 @@ class FaceLattice:
 
     Faces are numbered level by level: face 0 is the empty face, the last
     face is the body, and the faces of dimension k are the index range
-    `levels[k + 1]`.  The constructor refuses any other numbering, and any
-    cover that does not go up exactly one rank.
+    `levels[k + 1]`.  The one relation stored is `covers_up`.  The
+    constructor refuses any other numbering, a cover list too many or too
+    few, and any cover index that is not a face one rank up.
     """
 
     def __init__(self, dims, covers_up):
         self.dims = dims = tuple(dims)
-        self.covers_up = tuple(map(tuple, covers_up))
+        self.covers_up = covers = tuple(map(tuple, covers_up))
         keys, sizes = zip(*[(k, len(list(g))) for k, g in groupby(dims)])
         if keys != tuple(range(-1, len(keys) - 1)) or {sizes[0], sizes[-1]} != {1}:
             raise ValueError("faces are not numbered level by level, empty to body")
         starts = [0, *accumulate(sizes)]
         self.levels = tuple(map(range, starts, starts[1:]))
-        for lo, ups in enumerate(self.covers_up):
-            for hi in ups:
-                if dims[hi] != dims[lo] + 1:
-                    raise ValueError(f"cover of face {lo} by face {hi} skips a rank")
+        if len(covers) != len(dims):
+            raise ValueError(f"{len(covers)} cover list(s) for {len(dims)} faces")
+        for first, up, past in zip(starts, starts[1:], [*starts[2:], len(dims)]):
+            for lo in range(first, up):  # a level, covered from [up, past) only
+                for hi in covers[lo]:
+                    if not up <= hi < past:
+                        why = "skips a rank" if 0 <= hi < len(dims) else "is no face"
+                        raise ValueError(f"cover of face {lo} by face {hi} {why}")
 
     bottom = 0
 
@@ -306,22 +312,12 @@ class FaceLattice:
         return self.levels[k + 1] if -1 <= k <= self.dim else range(0)
 
     @cached_property
-    def covers_down(self):
-        got = [[] for _ in self.dims]
+    def downsets(self):
+        """Bitmask per face of it and all below, from `covers_up` in index order."""
+        down = [1 << i for i in range(len(self.dims))]
         for lo, ups in enumerate(self.covers_up):
             for hi in ups:
-                got[hi].append(lo)
-        return tuple(tuple(c) for c in got)
-
-    @cached_property
-    def downsets(self):
-        """Bitmask per face of everything weakly below it (itself included)."""
-        down = []
-        for i, below in enumerate(self.covers_down):  # lower levels come first
-            mask = 1 << i
-            for c in below:
-                mask |= down[c]
-            down.append(mask)
+                down[hi] |= down[lo]
         return tuple(down)
 
     @cached_property
@@ -368,9 +364,7 @@ class FaceLattice:
         return tuple(values)
 
 
-# the point, which every build starts from, and the segment, the prism's factor
-_POINT_LATTICE = FaceLattice([-1, 0], [(1,), ()])
-_SEGMENT = FaceLattice([-1, 0, 0, 1], [(1, 2), (3,), (3,), ()])
+_POINT_LATTICE = FaceLattice([-1, 0], [(1,), ()])  # every build starts from it
 
 
 def _cone_lattice(L: FaceLattice) -> FaceLattice:
@@ -426,6 +420,7 @@ def _prism_lattice(L: FaceLattice) -> FaceLattice:
     return _product_lattice(L, _SEGMENT)
 
 
+_SEGMENT = _cone_lattice(_POINT_LATTICE)  # the prism's factor
 # the four steps: dimension step, faces after from faces before (D = IC - CC
 # bounded by its IC branch), step on face lattices (D has none) and cd-indices
 _Step = namedtuple("_Step", "dim faces lattice cd")

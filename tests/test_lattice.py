@@ -194,6 +194,9 @@ def test_point_and_segment_lattices():
     seg = build_lattice(Cone(Pt()))
     assert len(seg) == 4
     assert len(seg.faces_of_dim(0)) == 2
+    # the prism's factor, built as the cone over the point
+    assert lattice._SEGMENT.dims == (-1, 0, 0, 1)
+    assert lattice._SEGMENT.covers_up == ((1, 2), (3,), (3,), ())
 
 
 def test_bipyramid_face_counts():
@@ -270,6 +273,16 @@ def test_a_rank_skipping_cover_is_refused():
     covers[0].append(square.faces_of_dim(1)[0])  # the empty face under an edge
     with pytest.raises(ValueError, match="skips a rank"):
         FaceLattice(square.dims, covers)
+    # a cover list missing or extra, a negative index (which would alias a face
+    # counted from the end) and an index past the end
+    for dims, covers, match in (
+        ([-1, 0], [(1,)], "1 cover list"),
+        ([-1, 0], [(1,), (), ()], "3 cover list"),
+        ([-1, 0, 0, 1], [(1, 2), (3,), (-1,), ()], "face 2 by face -1 is no face"),
+        ([-1, 0], [(5,), ()], "face 0 by face 5 is no face"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            FaceLattice(dims, covers)
 
 
 def test_faces_out_of_level_order_are_refused():
@@ -292,6 +305,17 @@ def test_every_builder_numbers_faces_level_by_level():
         for k in range(-1, L.dim + 1):
             run = [i for i, j in enumerate(L.dims) if j == k]
             assert list(L.faces_of_dim(k)) == run == list(range(run[0], run[-1] + 1))
+        # downsets against a search up covers_up from every face
+        reach = []
+        for start in range(len(L)):
+            reached, todo = {start}, [start]
+            while todo:
+                new = set(L.covers_up[todo.pop()]) - reached
+                reached |= new
+                todo += new
+            reach.append(reached)
+        for i, mask in enumerate(L.downsets):
+            assert mask == sum(1 << c for c in range(len(L)) if i in reach[c])
 
 
 def test_euler_relation_dim_up_to_4():
