@@ -42,6 +42,7 @@ y^(j+1) in place of angle(i, j).  The empty word has h = 1, g = y.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .cdwords import (
@@ -177,16 +178,17 @@ def h_via_links(e: Expr) -> KeyedPoly:
     """h as the face sum of (x - y)^dim(face) times g of the face's link.
 
     A second route to the same value: instead of expanding the body's
-    flag vector once, every link is chain-counted and expanded
-    separately, so agreement with h_of_polytope exercises the whole
-    lattice/link/expansion stack.  The body itself contributes
-    (x - y)^d, its link being the empty polytope with g = 1.
+    flag vector once, every link is chain-counted and every distinct link
+    is expanded once, times its number of faces, so agreement with
+    h_of_polytope exercises the whole lattice/link/expansion stack.  The
+    body itself contributes (x - y)^d, its link being the empty polytope.
     """
     L = build_lattice(e)
     total = KeyedPoly(L.dim, {EMPTY_KEY: x_minus_y_power(L.dim)})
-    for face in range(1, len(L) - 1):  # the nonempty proper faces
-        g = g_of_cdvector(to_cd_basis(link_flag(L, face)))
-        total = total + g.mul_poly(x_minus_y_power(L.dims[face]))
+    links = Counter(link_flag(L, face) for face in range(1, len(L) - 1))
+    for f, n in links.items():  # a link of dim k is a face's of dim d - k - 1
+        g = g_of_cdvector(to_cd_basis(f)).scaled(n)
+        total = total + g.mul_poly(x_minus_y_power(L.dim - f.dim - 1))
     return total
 
 
@@ -262,9 +264,14 @@ def h_matrix(d: int) -> list[list[int]]:
     return rows
 
 
-def _key_rank(w: str) -> tuple[int, int]:
-    key = word_coordinate(w)[2]
-    return key.degree, len(key.ds)
+@lru_cache(maxsize=None)
+def _peel_order(d: int) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+    """The degree-d words by descending key rank, (degree, length), each with
+    the index of its own coordinate and its h-row."""
+    at = {c: n for n, c in enumerate(coordinate_basis(d))}
+    coords = [(word_coordinate(w), w) for w in cd_words(d)]
+    coords.sort(key=lambda x: (x[0][2].degree, len(x[0][2].ds)), reverse=True)
+    return tuple((w, at[c], tuple(h_coordinates(h_of_word(w)))) for c, w in coords)
 
 
 def cd_from_h(kp: KeyedPoly) -> CDVector:
@@ -276,13 +283,12 @@ def cd_from_h(kp: KeyedPoly) -> CDVector:
     if kp.dim < 0:
         raise ValueError("flag recovery needs dimension >= 0")
     rest = h_coordinates(kp)  # rejects non-palindromic and ill-keyed input
-    position = {c: n for n, c in enumerate(coordinate_basis(kp.dim))}
     coeffs = {}
-    for w in sorted(cd_words(kp.dim), key=_key_rank, reverse=True):
-        c = rest[position[word_coordinate(w)]]
+    for w, at, row in _peel_order(kp.dim):
+        c = rest[at]
         if c:
             coeffs[w] = c
-            for n, v in enumerate(h_coordinates(h_of_word(w))):
+            for n, v in enumerate(row):
                 rest[n] -= c * v
     if any(rest):  # only if the rows were not triangular in this order
         raise ValueError(f"the peel of a dim-{kp.dim} h-value left a remainder")

@@ -19,7 +19,8 @@ Faces are integer indices numbered level by level, from the empty face
 holds one relation, `covers_up`, checked in full when it is built (one
 cover list per face, every index a face one rank up), and never changes.
 One exact integer chain DP per lattice, cached on it, gives every face's
-link flag vector; the empty face's link is the lattice's own flag vector.
+link flag vector packed in one int, fixed-width fields that never carry;
+the empty face's link is the lattice's own flag vector.
 `interval_lattice`, which rebuilds a link as a lattice, is its oracle.
 
 `_NODES` spells every node but the point and a product as runs of four
@@ -274,13 +275,15 @@ class FaceLattice:
     Faces are numbered level by level: face 0 is the empty face, the last
     face is the body, and the faces of dimension k are the index range
     `levels[k + 1]`.  The one relation stored is `covers_up`.  The
-    constructor refuses any other numbering, a cover list too many or too
-    few, and any cover index that is not a face one rank up.
+    constructor refuses no faces, any other numbering, a cover list too
+    many or too few, and any cover not the int index of a face a rank up.
     """
 
     def __init__(self, dims, covers_up):
         self.dims = dims = tuple(dims)
         self.covers_up = covers = tuple(map(tuple, covers_up))
+        if not dims:
+            raise ValueError("the face list is empty: no empty face, no body")
         keys, sizes = zip(*[(k, len(list(g))) for k, g in groupby(dims)])
         if keys != tuple(range(-1, len(keys) - 1)) or {sizes[0], sizes[-1]} != {1}:
             raise ValueError("faces are not numbered level by level, empty to body")
@@ -291,8 +294,9 @@ class FaceLattice:
         for first, up, past in zip(starts, starts[1:], [*starts[2:], len(dims)]):
             for lo in range(first, up):  # a level, covered from [up, past) only
                 for hi in covers[lo]:
-                    if not up <= hi < past:
-                        why = "skips a rank" if 0 <= hi < len(dims) else "is no face"
+                    if type(hi) is not int or not up <= hi < past:
+                        face = type(hi) is int and 0 <= hi < len(dims)
+                        why = "skips a rank" if face else "is no face"
                         raise ValueError(f"cover of face {lo} by face {hi} {why}")
 
     bottom = 0
@@ -322,21 +326,27 @@ class FaceLattice:
 
     @cached_property
     def link_values(self):
-        """Every face's link flag vector as a tuple by bitmask: one upward DP.
+        """Every face's link flag vector packed in one int: one upward DP.
 
         The link of F, of dimension e = d - dim F - 1, counts the chains
         F < H_1 < ... < H_k of proper faces by their dimensions less
-        dim F + 1.  Walking down from the body a level at a time, F gets per
-        level above it a bitmask of the faces there over F, from its covers'
-        masks (bit i: the level's face start + i); only the level just above
-        keeps its masks.  A chain whose lowest face H is j levels above F is
-        H and a chain of H's link, so the masks with lowest bit j (the slice
-        [1 << j :: 2 << j]) sum those H's tuples.  The body's and the facets'
-        tuple is (1,), one empty chain.  The constructor checked the grading.
+        dim F + 1; the entry of set S is field rev_e(S) (S's e bits read from
+        the top), `field_width` bits each.  Walking down from the body a level
+        at a time, F gets per level above it a bitmask of the faces there
+        over F, from its covers' masks (bit i: the level's face start + i);
+        only the level just above keeps its masks.  A chain whose lowest face
+        H is j levels above F is H and a chain of H's link, and the sets with
+        lowest element j are H's fields from field 2^(e-1-j) on: so the mask's
+        ints are summed and shifted there.  The body's and facets' int is 1.
+
+        No field carries: an entry counts chains with one face per level in
+        S, at most big^|S| <= big^d (big the largest level), and a level's
+        sum of links of dimension e counts chains through that level, at most
+        big^(e+1) <= big^d; `field_width` holds big^max(d, 1).  The DP calls
+        nothing from `flagvec`, whose operators it checks.
         """
-        d = self.dim
-        levels = self.levels
-        values = [(1,)] * len(self)
+        d, levels, width = self.dim, self.levels, self.field_width
+        values = [1] * len(self)
         above = {face: () for face in levels[d]}  # over a facet: only the body
         for k in reversed(range(-1, d - 1)):
             e = d - k - 1
@@ -348,20 +358,25 @@ class FaceLattice:
                     masks[0] |= 1 << (up - up_start)
                     for j, m in enumerate(above[up], 1):
                         masks[j] |= m
-                vec = [0] * (1 << e)
-                vec[0] = 1
+                total = 1
                 for j, m in enumerate(masks):
                     before = levels[k + j + 2].start - 1  # bit_length 1: its first face
-                    tails = []
+                    block = 0
                     while m:
                         low = m & -m
-                        tails.append(values[before + low.bit_length()])
+                        block += values[before + low.bit_length()]
                         m ^= low
-                    vec[1 << j :: 2 << j] = map(sum, zip(*tails))
+                    total += block << (width << (e - 1 - j))
                 level_above[face] = masks
-                values[face] = tuple(vec)
+                values[face] = total
             above = level_above
         return tuple(values)
+
+    @cached_property
+    def field_width(self) -> int:
+        """Bits per entry of `link_values`: a multiple of 8, big^max(d, 1) fits."""
+        big = max(map(len, self.levels))
+        return -(-(big ** max(self.dim, 1)).bit_length() // 8) * 8
 
 
 _POINT_LATTICE = FaceLattice([-1, 0], [(1,), ()])  # every build starts from it
@@ -473,12 +488,30 @@ def build_lattice(e: Expr) -> FaceLattice:
 # chain counting
 
 
+@lru_cache(maxsize=None)
+def _field_order(e: int) -> tuple[int, ...]:
+    """Per bitmask of e bits, its field in a packed link: the bits reversed."""
+    order = [0]
+    for _ in range(e):
+        order = [2 * f for f in order] + [2 * f + 1 for f in order]
+    return tuple(order)
+
+
+def _unpack(L: FaceLattice, e: int, packed: int) -> FlagVector:
+    # a link of dimension e from its packed int (`FaceLattice.link_values`)
+    size, order = L.field_width >> 3, _field_order(max(e, 0))
+    data = packed.to_bytes(size * len(order), "little")
+    return FlagVector.from_values(
+        e, [int.from_bytes(data[f * size : f * size + size], "little") for f in order]
+    )
+
+
 def chain_count_flag(L: FaceLattice) -> FlagVector:
     """Count chains of nonempty proper faces, grouped by dimension set.
 
     The empty face's link, read from the lattice's chain DP.
     """
-    return FlagVector.from_values(L.dim, L.link_values[0])
+    return _unpack(L, L.dim, L.link_values[0])
 
 
 def interval_lattice(L: FaceLattice, lo: int, hi: int) -> FaceLattice:
@@ -501,18 +534,18 @@ def link_flag(L: FaceLattice, face: int) -> FlagVector:
     """
     if not 0 < face < len(L):
         raise ValueError(f"face {face} is not a nonempty face of the lattice")
-    return FlagVector.from_values(L.dim - L.dims[face] - 1, L.link_values[face])
+    return _unpack(L, L.dim - L.dims[face] - 1, L.link_values[face])
 
 
 def total_link_vector(L: FaceLattice) -> tuple[FlagVector, ...]:
     """Sums of link flag vectors over the nonempty faces, one per link dimension.
 
     Entry e + 1 sums the links of dimension e, from e = -1 (the body) to
-    d - 1 (the vertices): the tuples of the lattice's chain DP, summed
-    entrywise, one level of faces each.
+    d - 1 (the vertices): the packed ints of the lattice's chain DP, summed
+    one level of faces each and unpacked once.
     """
     return tuple(
-        FlagVector.from_values(e, map(sum, zip(*L.link_values[lv.start : lv.stop])))
+        _unpack(L, e, sum(L.link_values[lv.start : lv.stop]))
         for e, lv in enumerate(reversed(L.levels[1:]), -1)
     )
 

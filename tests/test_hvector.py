@@ -133,6 +133,24 @@ def test_h_via_links_examples():
     assert h_via_links(Bipyr(Simplex(3))) == h_of_polytope(Bipyr(Simplex(3)))
 
 
+def test_face_sum_expands_each_distinct_link_once(monkeypatch):
+    # the work of the face-sum route, as a count: a k-face of cube(5) has a
+    # (4 - k)-simplex for its link, so 242 proper faces have 5 distinct links
+    calls = []
+    real = hvector.to_cd_basis
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(hvector, "to_cd_basis", counted)
+    for e, expanded in ((Cube(5), 5), (Bipyr(Simplex(4)), 8)):
+        calls.clear()
+        h = h_via_links(e)
+        assert len(calls) == expanded, e
+        assert h == h_of_polytope(e)
+
+
 def test_route_independence_small_dims():
     for e in sample_expressions(4):
         assert h_via_links(e) == h_of_polytope(e)
@@ -242,8 +260,12 @@ def test_flag_from_h_raises_on_a_leftover(monkeypatch):
     monkeypatch.setattr(
         hvector, "h_of_word", lambda w: real(w) + extra if w == "DC" else real(w)
     )
-    with pytest.raises(ValueError, match="remainder"):
-        flag_from_h(real("DC"))
+    hvector._peel_order.cache_clear()  # its h-rows then come from the patch
+    try:
+        with pytest.raises(ValueError, match="remainder"):
+            flag_from_h(real("DC"))
+    finally:
+        hvector._peel_order.cache_clear()
 
 
 def test_flag_from_h_round_trips():

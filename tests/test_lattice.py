@@ -280,6 +280,7 @@ def test_a_rank_skipping_cover_is_refused():
         ([-1, 0], [(1,), (), ()], "3 cover list"),
         ([-1, 0, 0, 1], [(1, 2), (3,), (-1,), ()], "face 2 by face -1 is no face"),
         ([-1, 0], [(5,), ()], "face 0 by face 5 is no face"),
+        ([-1, 0], [(1.5,), ()], "face 0 by face 1.5 is no face"),
     ):
         with pytest.raises(ValueError, match=match):
             FaceLattice(dims, covers)
@@ -290,6 +291,8 @@ def test_faces_out_of_level_order_are_refused():
     for dims in ([0, -1], [-1, -1, 0], [-1, 0, 0], [-1, 1, 0, 2]):
         with pytest.raises(ValueError, match="level by level"):
             FaceLattice(dims, [()] * len(dims))
+    with pytest.raises(ValueError, match="face list is empty"):
+        FaceLattice([], [])
 
 
 def test_every_builder_numbers_faces_level_by_level():
@@ -409,6 +412,22 @@ def test_link_flags_match_brute_force_chain_enumeration():
                 assert chain_count_flag(interval) == spec, (expr_str(e), face)
 
 
+def test_packed_chain_counts_match_the_evaluation_route():
+    # the widest fields the suite meets: cube(8)'s largest level, 1,792
+    # faces, to the 8th power needs 87 bits
+    assert build_lattice(Cube(8)).field_width == 88
+    for e in (Cube(8), Simplex(8), Crosspoly(7), Prod(Simplex(4), Cube(3))):
+        assert chain_count_flag(build_lattice(e)) == eval_flag(e), expr_str(e)
+
+
+def test_packed_links_match_their_interval_lattices():
+    for e in (Cube(6), Bipyr(Simplex(5))):
+        L = build_lattice(e)
+        for face in range(1, len(L)):
+            spec = chain_count_flag(interval_lattice(L, face, L.top))
+            assert link_flag(L, face) == spec, (expr_str(e), face)
+
+
 def test_links_rebuild_no_interval_lattice(monkeypatch):
     # every link is read from the lattice's one upward chain DP
     def refuse(*_):
@@ -424,14 +443,14 @@ def test_links_rebuild_no_interval_lattice(monkeypatch):
 
 def test_link_identities_catch_a_broken_chain_dp(monkeypatch):
     # euler-relation and oracle-equivalence read only the bottom face's
-    # tuple, so a wrong vertex link shows only in the summed links
+    # int, so a wrong vertex link shows only in the summed links
     honest = FaceLattice.link_values.func
 
     def broken(L):
         values = list(honest(L))
         if L.dim >= 2:
             for v in L.faces_of_dim(0):
-                values[v] = (values[v][0] + 1, *values[v][1:])
+                values[v] += 1  # field 0: the vertex's empty chain
         return tuple(values)
 
     wrong = cached_property(broken)
