@@ -8,7 +8,7 @@ basis of the span of dimension-d polytope flag vectors, with the word
 count following the Fibonacci-style recurrence c_d = c_{d-1} + c_{d-2}.
 
 The prism operator I is not a letter here: it expands via
-I(Cw) = CCw + Dw, I(Dw) = D I(w), I(pt) = C(pt).
+I(Cw) = CCw + Dw, I(Dw) = D I(w), I(pt) = C(pt) (`oracle.expand_I`).
 
 The change of basis goes through the cd-index (Bayer and Klapper,
 Discrete Comput. Geom. 6, 1991), a polynomial in noncommuting c and d,
@@ -32,7 +32,7 @@ and `cd_index_flag` expands by that recursion.
   diamond over a word, with no flag vector built: CCC folds to
   c^3 + 2cd + 2dc, and D to d.
 * Split (`cd_index`), only where a flag vector comes in (a product's
-  base, `to_cd_basis`): the same recursion backwards.  With X of degree
+  base, `oracle.to_cd_basis`): the same recursion backwards.  With X of degree
   d - 1 and Y of degree d - 2, the masks 4r, 4r+1, 4r+2 give
   X(2r) = f(4r), Y(r) = f(4r+1) - 2 f(4r) and X(2r+1) = f(4r+2) - Y(r),
   and the mask 4r+3 must read f(4r+3) = 2 f(4r+2); at degree 1,
@@ -58,8 +58,9 @@ MAX_BASIS_DEGREE = 12 is a resource cap, kept until one work budget
 bounds the whole call.  The factors of M_2 .. M_12 take about 0.04 s,
 the factor of each further degree about twice the last, and a solve at
 d = 12 about 0.002 s once they exist (one 2-vCPU machine, in-process).
-Only `table` folds `word_cd`; `word_flag`, `cd_flag` and `basis_matrix`
-stay as the flag-operator oracle.
+`table`, `basis` and `hvector.flag_from_h` fold `word_cd` and expand
+the result; `word_flag`, `cd_flag`, `basis_matrix` and `to_cd_basis`,
+which fold or undo the flag operators, stay in `oracle` as their oracle.
 """
 
 from __future__ import annotations
@@ -68,14 +69,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import FaceCountLimitError, NotInCDSpanError
-from .flagvec import (
-    FlagVector,
-    d_flag,
-    dim_subsets,
-    linear_combine,
-    point_flag,
-    pyramid_flag,
-)
+from .flagvec import FlagVector
 
 MAX_BASIS_DEGREE = 12
 
@@ -109,16 +103,6 @@ def cd_words(degree: int) -> tuple[str, ...]:
     if degree >= 2:
         out += ["D" + w for w in cd_words(degree - 2)]
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def word_flag(w: str) -> FlagVector:
-    """Flag vector of a word applied to the point (virtual once D appears)."""
-    check_word(w)
-    if w == "":
-        return point_flag()
-    rest = word_flag(w[1:])
-    return pyramid_flag(rest) if w[0] == "C" else d_flag(rest)
 
 
 class CDVector:
@@ -177,36 +161,6 @@ class CDVector:
 
 def word_vector(w: str) -> CDVector:
     return CDVector(word_degree(w), {w: 1})
-
-
-@lru_cache(maxsize=None)
-def _expand_I_word(w: str) -> tuple[tuple[str, int], ...]:
-    check_word(w)
-    if w == "":
-        return (("C", 1),)
-    if w[0] == "C":
-        return (("CC" + w[1:], 1), ("D" + w[1:], 1))
-    return tuple(("D" + u, c) for u, c in _expand_I_word(w[1:]))
-
-
-def expand_I(v: CDVector) -> CDVector:
-    """The CD-expansion of the prism operator applied to v; degree rises by one."""
-    acc = CDVector(v.degree + 1)
-    for w, c in v.coeffs.items():
-        acc = acc + CDVector(v.degree + 1, dict(_expand_I_word(w))).scaled(c)
-    return acc
-
-
-def cd_flag(v: CDVector) -> FlagVector:
-    """Flag vector of a CD combination."""
-    if v.is_zero():
-        return FlagVector(v.degree, {})
-    return linear_combine((c, word_flag(w)) for w, c in v.coeffs.items())
-
-
-def basis_matrix(d: int) -> list[list[int]]:
-    """Rows: flag vectors of the degree-d words; columns: all dimension sets."""
-    return [[word_flag(w).get(S) for S in dim_subsets(d)] for w in cd_words(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +358,9 @@ def cd_coordinates(psi, d: int) -> CDVector:
     return CDVector(d, dict(zip(cd_words(d), x)))
 
 
-def to_cd_basis(f: FlagVector) -> CDVector:
-    """Exact CD-coordinates of a flag vector; error when none exist."""
-    if f.dim < 0:
-        raise ValueError("CD-coordinates need dimension >= 0")
-    check_basis_degree(f.dim)
-    return cd_coordinates(cd_index(f), f.dim)
+def __getattr__(name):  # oracle names for the tracer; leave with ROADMAP item 1b
+    if name in ("word_flag", "to_cd_basis", "cd_flag"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,14 +15,12 @@ cap or change-of-basis degree limit exceeded, 4 input outside the CD span
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import combinations
 from operator import add
 
 from .cdwords import (
-    basis_matrix,
     cd_coordinates,
     cd_index_flag,
     cd_words,
@@ -80,12 +78,14 @@ def json_record(input_str: str, flag, cd, heads=None) -> str:
     h = _dump([[str(key), list(p.coeffs)] for key, p in h_of_cdvector(cd).items()])
     toric = _dump(list(toric_of_cdvector(cd).coeffs))
     return (
-        f'{{"input":{json.dumps(input_str)},"dim":{flag.dim},"flag":[{rows}]],'
+        f'{{"input":{_dump(input_str)},"dim":{flag.dim},"flag":[{rows}]],'
         f'"h":{h},"toric":{toric}}}'
     )
 
 
 def _dump(value) -> str:
+    import json  # only the JSON paths load it
+
     return json.dumps(value, separators=(",", ":"))
 
 
@@ -141,7 +141,10 @@ def cmd_basis(args) -> int:
     d = args.degree
     words = cd_words(d)
     cols = dim_subsets(d)
-    matrix = basis_matrix(d)
+    masks = [sum(1 << t for t in S) for S in cols]
+    matrix = [
+        list(map(cd_index_flag(word_cd(w), d).values.__getitem__, masks)) for w in words
+    ]
     if args.format == "json":
         payload = {
             "degree": d,
@@ -173,10 +176,13 @@ def cmd_verify(args) -> int:
 
 def _bounded_int(low: int, high: int):
     def parse(text: str) -> int:
-        value = int(text)
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"must be in {low}..{high}")
-        return value
+        try:
+            value = int(text)
+            if low <= value <= high:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer in {low}..{high}")
 
     return parse
 

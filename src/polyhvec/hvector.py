@@ -17,14 +17,16 @@ recursion g(Dv) = xy g(v)) gives the classical toric h-vector, which
 this module also implements independently as a cross-check.
 
 Values extend to arbitrary polytopes linearly through CD-coordinates of
-the flag vector, and the flag vector can be recovered exactly, in every
-dimension, by a peel.  A word reads D^i C^j B_1 ... B_r with blocks
-B_k = C D^(a_k+1) C^(b_k); `word_coordinate` pairs it with the
-coordinate angle(i, j) w_K, K = ((a_1..a_r), (b_1..b_r)), a bijection
-from the degree-d words onto the coordinates of dimension d.  Rank a key
-by (degree, length).  Then h(w) = angle(i, j) w_K + terms whose keys have
-lower rank, so taking the words by descending rank of their keys, the
-remaining value at a word's own coordinate is its coefficient.
+the flag vector (the face-sum route, h of a chain-counted lattice and
+`h_matrix`, the oracles, are in `oracle`), and the flag vector can be
+recovered exactly, in every dimension, by a peel.  A word reads
+D^i C^j B_1 ... B_r with blocks B_k = C D^(a_k+1) C^(b_k);
+`word_coordinate` pairs it with the coordinate angle(i, j) w_K,
+K = ((a_1..a_r), (b_1..b_r)), a bijection from the degree-d words onto
+the coordinates of dimension d.  Rank a key by (degree, length).  Then
+h(w) = angle(i, j) w_K + terms whose keys have lower rank, so taking the
+words by descending rank of their keys, the remaining value at a word's
+own coordinate is its coefficient.
 
 Proof, by induction along the recursion: every key of h(w) has degree
 <= deg K and length <= len K, and the terms of length len K are exactly
@@ -42,16 +44,15 @@ y^(j+1) in place of angle(i, j).  The empty word has h = 1, g = y.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
 from .cdwords import (
     CDVector,
-    cd_flag,
+    cd_index_flag,
     cd_words,
     check_basis_degree,
     check_word,
-    to_cd_basis,
+    word_cd,
 )
 from .errors import NotPalindromicError
 from .flagvec import FlagVector
@@ -66,10 +67,8 @@ from .hpoly import (
     Y,
     monomial,
     palindromic_decompose,
-    x_minus_y_power,
     zero_poly,
 )
-from .lattice import Expr, build_lattice, flag_of_lattice, link_flag
 
 
 # ---------------------------------------------------------------------------
@@ -158,56 +157,6 @@ def toric_of_cdvector(v: CDVector) -> HPoly:
 
 
 # ---------------------------------------------------------------------------
-# values on polytopes
-
-
-def h_of_flag(f: FlagVector) -> KeyedPoly:
-    return h_of_cdvector(to_cd_basis(f))
-
-
-def h_of_polytope(e: Expr) -> KeyedPoly:
-    """h of a buildable expression, through chain counting and CD-coordinates."""
-    return h_of_flag(flag_of_lattice(e))
-
-
-def toric_of_polytope(e: Expr) -> HPoly:
-    return toric_of_cdvector(to_cd_basis(flag_of_lattice(e)))
-
-
-def h_via_links(e: Expr) -> KeyedPoly:
-    """h as the face sum of (x - y)^dim(face) times g of the face's link.
-
-    A second route to the same value: instead of expanding the body's
-    flag vector once, every link is chain-counted and every distinct link
-    is expanded once, times its number of faces, so agreement with
-    h_of_polytope exercises the whole lattice/link/expansion stack.  The
-    body itself contributes (x - y)^d, its link being the empty polytope.
-    """
-    L = build_lattice(e)
-    total = KeyedPoly(L.dim, {EMPTY_KEY: x_minus_y_power(L.dim)})
-    links = Counter(link_flag(L, face) for face in range(1, len(L) - 1))
-    for f, n in links.items():  # a link of dim k is a face's of dim d - k - 1
-        g = g_of_cdvector(to_cd_basis(f)).scaled(n)
-        total = total + g.mul_poly(x_minus_y_power(L.dim - f.dim - 1))
-    return total
-
-
-def simple_h(f: FlagVector) -> HPoly:
-    """h-polynomial of a simple polytope straight from its face counts.
-
-    sum_i f_i (x-y)^i y^(d-i), the index running over 0..d with f_d = 1
-    for the body itself.  (The convention was pinned down against
-    h_of_polytope on cubes; both the y-power and the inclusion of the
-    body matter.)
-    """
-    d = f.dim
-    acc = zero_poly(d)
-    for i in range(d):
-        acc = acc + (x_minus_y_power(i) * monomial(0, d - i)).scaled(f.get((i,)))
-    return acc + x_minus_y_power(d)
-
-
-# ---------------------------------------------------------------------------
 # the coordinate basis and completeness
 
 
@@ -251,19 +200,6 @@ def h_coordinates(kp: KeyedPoly) -> list:
     return vec
 
 
-def h_matrix(d: int) -> list[list[int]]:
-    """h-coordinates of every degree-d word, one row per word.
-
-    Row w holds 1 at `word_coordinate(w)` and is otherwise supported on
-    coordinates whose keys rank lower (module docstring), so the matrix is
-    a permuted unitriangular one: unimodular for every d.
-    """
-    words = cd_words(d)
-    rows = [h_coordinates(h_of_word(w)) for w in words]
-    assert all(len(r) == len(words) for r in rows), "coordinate count != word count"
-    return rows
-
-
 @lru_cache(maxsize=None)
 def _peel_order(d: int) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
     """The degree-d words by descending key rank, (degree, length), each with
@@ -296,6 +232,21 @@ def cd_from_h(kp: KeyedPoly) -> CDVector:
 
 
 def flag_from_h(kp: KeyedPoly) -> FlagVector:
-    """Recover the flag vector from an h-value, exactly."""
+    """Recover the flag vector from an h-value, exactly.
+
+    The peeled CD-coordinates' word cd-indices, summed and expanded.
+    """
     check_basis_degree(kp.dim)  # before the peel, which an over-cap value pays for
-    return cd_flag(cd_from_h(kp))
+    psi: dict[str, int] = {}
+    for w, c in cd_from_h(kp).coeffs.items():
+        for m, k in word_cd(w).items():
+            psi[m] = psi.get(m, 0) + c * k
+    return cd_index_flag(psi, kp.dim)
+
+
+def __getattr__(name):  # oracle names for the tracer; leave with ROADMAP item 1b
+    if name == "h_via_links":
+        from . import oracle
+
+        return oracle.h_via_links
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

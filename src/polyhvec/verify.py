@@ -12,53 +12,17 @@ from __future__ import annotations
 
 from operator import add
 
-from .cdwords import (
-    basis_matrix,
-    cd_flag,
-    cd_words,
-    expand_I,
-    to_cd_basis,
-    word_flag,
-    word_vector,
-)
-from .flagvec import (
-    d_flag,
-    dual_flag,
-    prism_flag,
-    product_flag,
-    pyramid_flag,
-)
+from .cdwords import cd_words, word_vector
+from .flagvec import product_flag
 from .hpoly import EMPTY_KEY, HPoly, Key, KeyedPoly, ONE, X, angle
-from .hvector import (
-    flag_from_h,
-    g_of_word,
-    h_matrix,
-    h_of_cdvector,
-    h_of_flag,
-    h_of_polytope,
-    h_of_word,
-    h_via_links,
-    toric_h_of_word,
-)
-from .lattice import (
-    Bipyr,
-    Cone,
-    Cube,
-    Dual,
-    Expr,
-    Prism,
-    Prod,
-    Pt,
-    Simplex,
-    build_lattice,
-    eval_flag,
-    expr_dim,
-    expr_str,
-    flag_of_lattice,
-    sample_expressions,
-    total_link_vector,
-)
+from .hvector import flag_from_h, g_of_word, h_of_cdvector, h_of_word, toric_h_of_word
+from .lattice import Bipyr, Cone, Cube, Dual, Expr, Prism, Prod, Pt, Simplex
+from .lattice import eval_flag, expr_dim, expr_str
 from .linalg import mat_det, mat_rank
+from .oracle import basis_matrix, build_lattice, cd_flag, d_flag, dual_flag, expand_I
+from .oracle import flag_of_lattice, h_matrix, h_of_flag, h_of_polytope, h_via_links
+from .oracle import prism_flag, pyramid_flag, sample_expressions, to_cd_basis
+from .oracle import total_link_vector, word_flag
 
 LATTICE_DIM_CAP = 6
 LINK_DIM_CAP = 5

@@ -52,14 +52,16 @@ from polyhvec.lattice import (
     Prod,
     Pt,
     Simplex,
-    build_lattice,
     expr_dim,
     expr_str,
+)
+from polyhvec.linalg import mat_det, mat_rank
+from polyhvec.oracle import (
+    build_lattice,
     flag_of_lattice,
     sample_expressions,
     total_link_vector,
 )
-from polyhvec.linalg import mat_det, mat_rank
 from polyhvec.verify import link_identity_family
 
 KEY_00 = Key((0,), (0,))

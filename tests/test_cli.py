@@ -15,12 +15,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import validate_record
-from polyhvec import cdwords, cli, flagvec, lattice, verify
-from polyhvec.cdwords import word_flag, word_vector
+from polyhvec import cdwords, cli, lattice, oracle, verify
+from polyhvec.cdwords import word_vector
 from polyhvec.errors import ExprParseError
 from polyhvec.flagvec import FlagVector, dim_subsets, empty_flag, point_flag
 from polyhvec.hvector import h_of_cdvector, toric_of_cdvector
 from polyhvec.lattice import expr_str, face_count_bound, parse_expr
+from polyhvec.oracle import word_flag
 from test_lattice import EDITS, any_expression, apply_edits
 
 
@@ -115,6 +116,15 @@ def test_table_deterministic_in_process(capsys):
     _, first, _ = run_cli(capsys, "table", "--max-dim", "5", "--format", "json")
     _, second, _ = run_cli(capsys, "table", "--max-dim", "5", "--format", "json")
     assert first == second
+
+
+def test_basis_rows_are_the_word_flag_vectors(capsys):
+    # `basis` expands each word's cd-index; the flag operators' fold,
+    # `basis_matrix`, is its oracle (and `verify basis-rank`'s matrix)
+    for d in range(11):
+        code, out, _ = run_cli(capsys, "basis", str(d), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["matrix"] == oracle.basis_matrix(d), d
 
 
 def test_basis_output(capsys):
@@ -252,7 +262,7 @@ def test_change_of_basis_builds_no_word_flags(capsys, monkeypatch):
         raise AssertionError("a flag operator was called")
 
     names = ("pyramid_flag", "prism_flag", "d_flag", "dual_flag")
-    operators = [getattr(flagvec, name) for name in names]
+    operators = [getattr(oracle, name) for name in names]
     for name, module in list(sys.modules.items()):
         if name == "polyhvec" or name.startswith("polyhvec."):
             for attr, value in list(vars(module).items()):
@@ -317,9 +327,9 @@ def test_products_build_no_lattice(capsys, monkeypatch, argv):
     def refuse(*_):
         raise AssertionError("a product lattice was built or chain-counted")
 
-    monkeypatch.setattr(lattice, "_product_lattice", refuse)
-    monkeypatch.setattr(lattice, "chain_count_flag", refuse)
-    for cached in (lattice.build_lattice, lattice.flag_of_lattice, lattice.eval_flag):
+    monkeypatch.setattr(oracle, "_product_lattice", refuse)
+    monkeypatch.setattr(oracle, "chain_count_flag", refuse)
+    for cached in (oracle.build_lattice, oracle.flag_of_lattice, lattice.eval_flag):
         cached.cache_clear()
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -502,9 +512,48 @@ def test_cli_import_brings_in_no_dataclasses_or_inspect():
     assert modules_cli_import_loads({"dataclasses", "inspect"}) == "[]"
 
 
+ORACLE_MODULES = {"polyhvec.oracle", "polyhvec.verify", "polyhvec.linalg"}
+
+
+def modules_a_command_loads(*argv):
+    """The modules a fresh `python -m polyhvec` process imports."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "polyhvec", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    return {ln.rsplit("|", 1)[1].strip() for ln in lines if ln.startswith("import time:")}
+
+
 def test_cli_import_brings_in_no_verify_or_linalg():
     # only the verify command reads the suites and the exact elimination
-    assert modules_cli_import_loads({"polyhvec.verify", "polyhvec.linalg"}) == "[]"
+    assert modules_cli_import_loads(ORACLE_MODULES) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("flag", "prod(cube(2),simplex(2))"),
+        ("hvec", "B(crosspoly(4))"),
+        ("toric", "DDC(pt)"),
+        ("table", "--max-dim", "3"),
+        ("basis", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_command_loads_no_oracle(argv, fmt):
+    # counts modules, not time: every module a command imports it compiles
+    # too, where no bytecode is cached; text output needs no `json` either
+    loaded = modules_a_command_loads(*argv, "--format", fmt)
+    assert {"polyhvec.cli", "polyhvec.lattice"} <= loaded
+    assert sorted(loaded & ORACLE_MODULES) == []
+    assert ("json" in loaded) == (fmt == "json")
 
 
 def spec_rows(flag):
@@ -632,6 +681,9 @@ def test_verify_checks_the_evaluation_the_cli_prints(capsys, monkeypatch):
         for kind, r in lattice._UNARY_RUNS.items()
     }
     monkeypatch.setattr(lattice, "_UNARY_RUNS", runs)
+    # the oracle keys its lattice steps by step: the broken dual builds the dual
+    dual_lattice = oracle._LATTICE_STEPS[lattice._DUAL]
+    monkeypatch.setitem(oracle._LATTICE_STEPS, broken, dual_lattice)
     monkeypatch.setattr(lattice, "_DUAL", broken)
     lattice.eval_flag.cache_clear()
     try:
@@ -644,6 +696,23 @@ def test_verify_checks_the_evaluation_the_cli_prints(capsys, monkeypatch):
         "FAIL oracle-equivalence: cd-index evaluation vs lattice on crosspoly(3)"
         in out.splitlines()
     )
+
+
+@pytest.mark.parametrize(
+    "argv, bounds",
+    [
+        (("table", "--max-dim", "x"), "0..10"),
+        (("basis", "y"), "0..10"),
+        (("verify", "--max-dim", "1.5"), "0..8"),
+    ],
+)
+def test_a_non_integer_bound_names_the_range(capsys, argv, bounds):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f": must be an integer in {bounds}")
+    assert "parse" not in err
 
 
 def test_verify_rejects_out_of_range_max_dim(capsys):

@@ -31,7 +31,7 @@ from polyhvec import (
     word_flag,
 )
 from polyhvec.hpoly import ONE, X, XY, Y, monomial, palindromic_decompose
-from polyhvec import hvector
+from polyhvec import hvector, oracle
 from polyhvec.hvector import g_of_cdvector
 from polyhvec.lattice import (
     Bipyr,
@@ -41,11 +41,10 @@ from polyhvec.lattice import (
     Prod,
     Pt,
     Simplex,
-    flag_of_lattice,
     parse_expr,
-    sample_expressions,
 )
 from polyhvec.linalg import mat_det
+from polyhvec.oracle import flag_of_lattice, sample_expressions
 from polyhvec.verify import (
     GOLDEN_BIPYRAMID,
     GOLDEN_CONE_DIFFERENCE,
@@ -137,13 +136,13 @@ def test_face_sum_expands_each_distinct_link_once(monkeypatch):
     # the work of the face-sum route, as a count: a k-face of cube(5) has a
     # (4 - k)-simplex for its link, so 242 proper faces have 5 distinct links
     calls = []
-    real = hvector.to_cd_basis
+    real = oracle.to_cd_basis
 
     def counted(f):
         calls.append(f)
         return real(f)
 
-    monkeypatch.setattr(hvector, "to_cd_basis", counted)
+    monkeypatch.setattr(oracle, "to_cd_basis", counted)
     for e, expanded in ((Cube(5), 5), (Bipyr(Simplex(4)), 8)):
         calls.clear()
         h = h_via_links(e)

@@ -28,7 +28,7 @@ from polyhvec import (
     sample_expressions,
     total_link_vector,
 )
-from polyhvec import hvector, lattice, verify
+from polyhvec import lattice, oracle, verify
 from polyhvec.cdwords import cd_index
 from polyhvec.lattice import (
     Bipyr,
@@ -37,7 +37,6 @@ from polyhvec.lattice import (
     Cube,
     Diamond,
     Dual,
-    FaceLattice,
     Prism,
     Prod,
     Pt,
@@ -45,10 +44,9 @@ from polyhvec.lattice import (
     eval_cd,
     face_count,
     face_count_bound,
-    flag_of_lattice,
-    interval_lattice,
     is_buildable,
 )
+from polyhvec.oracle import FaceLattice, flag_of_lattice, interval_lattice
 
 
 def test_parse_basic_forms():
@@ -195,8 +193,8 @@ def test_point_and_segment_lattices():
     assert len(seg) == 4
     assert len(seg.faces_of_dim(0)) == 2
     # the prism's factor, built as the cone over the point
-    assert lattice._SEGMENT.dims == (-1, 0, 0, 1)
-    assert lattice._SEGMENT.covers_up == ((1, 2), (3,), (3,), ())
+    assert oracle._SEGMENT.dims == (-1, 0, 0, 1)
+    assert oracle._SEGMENT.covers_up == ((1, 2), (3,), (3,), ())
 
 
 def test_bipyramid_face_counts():
@@ -433,12 +431,12 @@ def test_links_rebuild_no_interval_lattice(monkeypatch):
     def refuse(*_):
         raise AssertionError("an interval lattice was rebuilt")
 
-    monkeypatch.setattr(lattice, "interval_lattice", refuse)
+    monkeypatch.setattr(oracle, "interval_lattice", refuse)
     assert verify.check_link_identities(6) is None
     ell = total_link_vector(build_lattice(Cube(5)))
     # the cube is simple: each of its 32 vertex links is a 4-simplex
     assert ell[5] == chain_count_flag(build_lattice(Simplex(4))).scaled(32)
-    assert hvector.h_via_links(Cube(4)) == hvector.h_of_polytope(Cube(4))
+    assert oracle.h_via_links(Cube(4)) == oracle.h_of_polytope(Cube(4))
 
 
 def test_link_identities_catch_a_broken_chain_dp(monkeypatch):
@@ -455,7 +453,7 @@ def test_link_identities_catch_a_broken_chain_dp(monkeypatch):
 
     wrong = cached_property(broken)
     wrong.__set_name__(FaceLattice, "link_values")
-    caches = (lattice.build_lattice, lattice.flag_of_lattice)
+    caches = (oracle.build_lattice, oracle.flag_of_lattice)
     for cached in caches:
         cached.cache_clear()
     monkeypatch.setattr(FaceLattice, "link_values", wrong)
