@@ -31,9 +31,9 @@ _EXPORTS = {
     "h_coordinates h_of_cdvector h_of_word toric_h_of_word toric_of_cdvector "
     "word_coordinate",
     "oracle": "FaceLattice build_lattice chain_count_flag is_eulerian link_flag "
-    "sample_expressions total_link_vector d_flag dual_flag linear_combine "
-    "prism_flag pyramid_flag basis_matrix cd_flag expand_I to_cd_basis word_flag "
-    "h_matrix h_of_flag h_of_polytope h_via_links simple_h toric_of_polytope",
+    "sample_expressions total_link_vector d_flag dual_flag prism_flag pyramid_flag "
+    "basis_matrix cd_flag expand_I to_cd_basis word_flag h_matrix h_of_flag "
+    "h_of_polytope h_via_links simple_h toric_of_polytope",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

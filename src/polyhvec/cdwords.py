@@ -20,7 +20,10 @@ entry at S is the cd-index read one letter at a time: a c at position i
 weighs 1 + s_i, and a d at positions i, i + 1 weighs s_i + s_(i+1)
 (c = a + b and d = ab + ba, with a read as 1 and b as s_i).  So for
 Psi = cX + dY, F(Psi)[S] = (1 + s_0) F(X)[S >> 1] + (s_0 + s_1) F(Y)[S >> 2],
-and `cd_index_flag` expands by that recursion.
+and `cd_index_flag` expands by that recursion.  It, the split and the
+solve all run on coefficient lists in `cd_monomials` order, where the
+monomials that start with c come first: a degree-d list is cX then dY,
+split by one slice at len(cd_words(d - 1)).
 
 * Operators (`pyramid_cd`, `prism_cd`, `diamond_cd`, `dual_cd`): the
   derivations of Ehrenborg and Readdy (J. Algebraic Combin. 8, 1998).
@@ -126,9 +129,6 @@ class CDVector:
     def get(self, w: str):
         return self.coeffs.get(w, 0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other):
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
@@ -142,6 +142,12 @@ class CDVector:
 
     def __sub__(self, other):
         return self + other.scaled(-1)
+
+    def combine(self, value_of, zero):
+        """Linear extension: `zero` plus value_of(w).scaled(c) per term c w."""
+        for w, c in self.coeffs.items():
+            zero = zero + value_of(w).scaled(c)
+        return zero
 
     def __eq__(self, other):
         return (
@@ -224,22 +230,23 @@ def word_cd(w: str) -> MappingProxyType:
     return MappingProxyType(step(word_cd(w[1:])))
 
 
-def _check_monomials(psi, d: int):
-    """Raise ValueError unless d >= 0 and every key of psi is a degree-d cd-monomial."""
-    stray = psi.keys() - set(cd_monomials(d))
+def _coefficients(psi, d: int) -> list[int]:
+    """psi's coefficients in `cd_monomials(d)` order; ValueError on any other key."""
+    monomials = cd_monomials(d)
+    stray = psi.keys() - set(monomials)
     if stray:
         raise ValueError(f"not cd-monomials of degree {d}: {sorted(map(repr, stray))}")
+    return [psi.get(m, 0) for m in monomials]
 
 
-def _expand(psi, n: int) -> list[int]:
-    """Flag entries of a degree-n cd-polynomial by bitmask, one letter at a time."""
-    if not psi:
+def _expand(v: list[int], n: int) -> list[int]:
+    """Flag entries by bitmask of the degree-n coefficient list v, letter by letter."""
+    if not any(v):
         return [0] * (1 << n)
     if n < 2:
-        k = psi.get("c" * n, 0)
-        return [k, 2 * k] if n else [k]
-    x = _expand({m[1:]: k for m, k in psi.items() if m[0] == "c"}, n - 1)
-    y = _expand({m[1:]: k for m, k in psi.items() if m[0] == "d"}, n - 2)
+        return [v[0], 2 * v[0]] if n else v
+    k = len(cd_words(n - 1))  # the monomials that start with c come first
+    x, y = _expand(v[:k], n - 1), _expand(v[k:], n - 2)
     out, pairs = [], iter(x)
     # masks 4r, 4r+1, 4r+2, 4r+3: s_0 s_1 = 00, 10, 01, 11
     for x0, x1, t in zip(pairs, pairs, y):
@@ -249,18 +256,17 @@ def _expand(psi, n: int) -> list[int]:
 
 def cd_index_flag(psi, d: int) -> FlagVector:
     """Flag vector of a degree-d cd-polynomial, read one letter at a time."""
-    _check_monomials(psi, d)
-    return FlagVector.from_values(d, _expand(psi, d))
+    return FlagVector.from_values(d, _expand(_coefficients(psi, d), d))
 
 
-def _split(f, n: int) -> dict[str, int]:
-    """The cd-polynomial cX + dY whose degree-n flag entries are `f`."""
+def _split(f, n: int) -> list[int]:
+    """The coefficient list of the cd-polynomial whose degree-n flag entries are f."""
     if not any(f):
-        return {}
+        return [0] * len(cd_words(n))
     if n < 2:
         if n and f[1] != 2 * f[0]:
             raise NotInCDSpanError("flag vector is not a CD combination")
-        return {"c" * n: f[0]}
+        return [f[0]]
     x, y = [], []
     quads = iter(f)  # masks 4r, 4r+1, 4r+2, 4r+3
     for f0, f1, f2, f3 in zip(quads, quads, quads, quads):
@@ -269,16 +275,14 @@ def _split(f, n: int) -> dict[str, int]:
         t = f1 - 2 * f0
         y.append(t)
         x += (f0, f2 - t)
-    psi = {"c" + m: k for m, k in _split(x, n - 1).items()}
-    psi.update(("d" + m, k) for m, k in _split(y, n - 2).items())
-    return psi
+    return _split(x, n - 1) + _split(y, n - 2)
 
 
 def cd_index(f: FlagVector) -> dict[str, int]:
     """The cd-index of f, split from all 2^d entries; NotInCDSpanError if none."""
     if f.dim < 0:
         raise ValueError("a cd-index needs dimension >= 0")
-    return _split(f.values, f.dim)
+    return {m: k for m, k in zip(cd_monomials(f.dim), _split(f.values, f.dim)) if k}
 
 
 def _unit_lu(rows: list[dict[int, int]]) -> tuple:
@@ -353,8 +357,7 @@ def _coordinates(v: list[int], d: int) -> list[int]:
 def cd_coordinates(psi, d: int) -> CDVector:
     """CD-coordinates of a degree-d cd-polynomial, solved one letter at a time."""
     check_basis_degree(d)
-    _check_monomials(psi, d)
-    x = _coordinates([psi.get(m, 0) for m in cd_monomials(d)], d)
+    x = _coordinates(_coefficients(psi, d), d)
     return CDVector(d, dict(zip(cd_words(d), x)))
 
 

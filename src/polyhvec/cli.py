@@ -96,7 +96,7 @@ def cmd_single(args) -> int:
     # expression may be too deep to walk recursively
     if face_count_bound(expr) > DEFAULT_FACE_CAP:
         raise FaceCountLimitError(
-            f"{args.input!r} needs more than {DEFAULT_FACE_CAP} faces, over the cap"
+            f"the input needs more than {DEFAULT_FACE_CAP} faces, over the cap"
         )
     out = sys.stdout
     if args.command == "flag" and args.format == "text":

@@ -13,6 +13,7 @@ that basis by peeling coefficients off the outside in.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .errors import NotPalindromicError
 
@@ -138,36 +139,33 @@ def palindromic_decompose(p: HPoly) -> list[tuple[int, int, int]]:
     return out
 
 
-class Key:
+class Key(namedtuple("Key", "ds cs")):
     """A key ((d_1..d_r), (c_1..c_r)) indexing one symbol of a keyed polynomial.
 
     The degree is 2*sum(ds) + sum(cs) + 3r.  The empty key has degree 0 and
-    its symbol is the constant 1.  Immutable; equals only a `Key`.
+    its symbol is the constant 1.  An immutable tuple of its two lists that
+    equals only a `Key`, as `lattice`'s expression nodes are.
     """
 
-    __slots__ = ("ds", "cs")
+    __slots__ = ()
+    __hash__ = tuple.__hash__
 
-    def __init__(self, ds: tuple[int, ...], cs: tuple[int, ...]):
+    def __new__(cls, ds: tuple[int, ...], cs: tuple[int, ...]):
         if len(ds) != len(cs):
             raise ValueError("key lists must have equal length")
         if any(d < 0 for d in ds) or any(c < 0 for c in cs):
             raise ValueError("key entries must be nonnegative")
-        object.__setattr__(self, "ds", ds)
-        object.__setattr__(self, "cs", cs)
+        return super().__new__(cls, ds, cs)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot set or delete {name!r}: a Key is immutable")
-
-    __delattr__ = __setattr__
+    @classmethod
+    def _make(cls, fields):  # namedtuple's, and so `_replace`, skips `__new__`
+        return cls(*fields)
 
     def __eq__(self, other):
-        return type(other) is Key and (self.ds, self.cs) == (other.ds, other.cs)
+        return type(self) is type(other) and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.ds, self.cs))
-
-    def __repr__(self):
-        return f"Key(ds={self.ds!r}, cs={self.cs!r})"
+    def __ne__(self, other):  # tuple's own != would ignore the class
+        return not self == other
 
     @property
     def degree(self) -> int:

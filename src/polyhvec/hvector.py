@@ -136,24 +136,15 @@ def toric_g_of_word(w: str) -> HPoly:
 
 
 def h_of_cdvector(v: CDVector) -> KeyedPoly:
-    acc = KeyedPoly(v.degree, {})
-    for w, c in v.coeffs.items():
-        acc = acc + h_of_word(w).scaled(c)
-    return acc
+    return v.combine(h_of_word, KeyedPoly(v.degree, {}))
 
 
 def g_of_cdvector(v: CDVector) -> KeyedPoly:
-    acc = KeyedPoly(v.degree + 1, {})
-    for w, c in v.coeffs.items():
-        acc = acc + g_of_word(w).scaled(c)
-    return acc
+    return v.combine(g_of_word, KeyedPoly(v.degree + 1, {}))
 
 
 def toric_of_cdvector(v: CDVector) -> HPoly:
-    acc = zero_poly(v.degree)
-    for w, c in v.coeffs.items():
-        acc = acc + toric_h_of_word(w).scaled(c)
-    return acc
+    return v.combine(toric_h_of_word, zero_poly(v.degree))
 
 
 # ---------------------------------------------------------------------------

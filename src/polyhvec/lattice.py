@@ -223,23 +223,14 @@ def is_buildable(e: Expr) -> bool:
     return True
 
 
-def face_count(e: Expr) -> int:
-    """Number of faces, including the empty face and the body.
-
-    A count above DEFAULT_FACE_CAP comes back as DEFAULT_FACE_CAP + 1.
-    """
-    if not is_buildable(e):
-        raise ValueError("expressions containing D denote no polytope lattice")
-    return face_count_bound(e)
-
-
 def face_count_bound(e: Expr) -> int:
     """Upper bound on the work an expression needs, in face-count units.
 
     Exact for buildable expressions; virtual ones are covered through the
     D bound.  A count above DEFAULT_FACE_CAP comes back as one more, and
     every step but dual (which keeps the count) at least doubles it, so a
-    run of any length saturates within log2 of the cap.  The CLI uses it.
+    run of any length saturates within log2 of the cap.  The CLI and
+    `oracle.build_lattice` check it against the cap.
     """
     base, runs = _runs(e)
     n = 2

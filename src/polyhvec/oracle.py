@@ -7,14 +7,15 @@ Every fast path keeps a slow, independent route that the tests and
 `flag`, `hvec`, `toric`, `table` and `basis` never compile or load it.
 The flag operators run on `flagvec`'s bitmask tuples, each cut of a
 chain splice a few list-slice additions (see `pyramid_flag`); word flags
-fold them over CD-words.  A face lattice numbers its faces level by
-level, from the empty face (0) to the body (the last), holds one
-relation, `covers_up`, checked in full when it is built, and never
-changes; `_LATTICE_STEPS` holds the lattice of each step of
-`lattice._NODES` but D.  One chain DP per lattice, cached on it, gives
-every face's link flag vector packed in one int, fixed-width fields
-that never carry; `interval_lattice`, which rebuilds a link as a
-lattice, is its oracle.
+fold them over CD-words, and `CDVector.combine` extends those linearly
+(`cd_flag`), as it does the prism's expansion (`expand_I`).  A face
+lattice numbers its faces level by level, from the empty face (0) to
+the body (the last), holds one relation, `covers_up`, checked in full
+when it is built, and never changes; `_LATTICE_STEPS` holds the lattice
+of each step of `lattice._NODES` but D.  One chain DP per lattice,
+cached on it, gives every face's link flag vector packed in one int,
+fixed-width fields that never carry; `interval_lattice`, which rebuilds
+a link as a lattice, is its oracle.
 """
 
 from __future__ import annotations
@@ -31,27 +32,13 @@ from .flagvec import FlagVector, dim_subsets, point_flag
 from .hpoly import EMPTY_KEY, HPoly, KeyedPoly, monomial, x_minus_y_power, zero_poly
 from .hvector import g_of_cdvector, h_coordinates, h_of_cdvector, h_of_word
 from .hvector import toric_of_cdvector
-from .lattice import _C, _DUAL, _I, DEFAULT_FACE_CAP, Expr, _runs, expr_str, face_count
+from .lattice import _C, _DUAL, _I, DEFAULT_FACE_CAP, Expr, _runs, face_count_bound
+from .lattice import is_buildable
 from .lattice import Bipyr, Cone, Crosspoly, Cube, Dual, Prism, Prod, Pt, Simplex
 
 
 # ---------------------------------------------------------------------------
 # flag operators
-
-
-def linear_combine(terms) -> FlagVector:
-    """Entrywise combination sum(c * f) of equal-dimension flag vectors."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("linear_combine needs at least one term")
-    dim = terms[0][1].dim
-    acc = [0] * (1 << max(dim, 0))
-    for c, f in terms:
-        if f.dim != dim:
-            raise ValueError(f"dimension mismatch: {f.dim} vs {dim}")
-        if c:
-            acc = [a + c * v for a, v in zip(acc, f.values)]
-    return FlagVector.from_values(dim, acc)
 
 
 def _splices(f: tuple[int, ...] | list[int], d: int, prism: bool) -> list[int]:
@@ -167,17 +154,13 @@ def _expand_I_word(w: str) -> tuple[tuple[str, int], ...]:
 
 def expand_I(v: CDVector) -> CDVector:
     """The CD-expansion of the prism operator applied to v; degree rises by one."""
-    acc = CDVector(v.degree + 1)
-    for w, c in v.coeffs.items():
-        acc = acc + CDVector(v.degree + 1, dict(_expand_I_word(w))).scaled(c)
-    return acc
+    d = v.degree + 1
+    return v.combine(lambda w: CDVector(d, dict(_expand_I_word(w))), CDVector(d))
 
 
 def cd_flag(v: CDVector) -> FlagVector:
     """Flag vector of a CD combination."""
-    if v.is_zero():
-        return FlagVector(v.degree, {})
-    return linear_combine((c, word_flag(w)) for w, c in v.coeffs.items())
+    return v.combine(word_flag, FlagVector(v.degree, {}))
 
 
 def basis_matrix(d: int) -> list[list[int]]:
@@ -382,9 +365,11 @@ def _build(e: Expr) -> FaceLattice:
 
 @lru_cache(maxsize=None)
 def build_lattice(e: Expr) -> FaceLattice:
-    if face_count(e) > DEFAULT_FACE_CAP:  # also rejects D
+    if not is_buildable(e):
+        raise ValueError("expressions containing D denote no polytope lattice")
+    if face_count_bound(e) > DEFAULT_FACE_CAP:
         raise FaceCountLimitError(
-            f"{expr_str(e)} has more than {DEFAULT_FACE_CAP} faces, over the cap"
+            f"the lattice has more than {DEFAULT_FACE_CAP} faces, over the cap"
         )
     return _build(e)
 

@@ -20,7 +20,6 @@ from polyhvec import (
     build_lattice,
     empty_flag,
     expand_I,
-    linear_combine,
     point_flag,
     prism_flag,
     to_cd_basis,
@@ -40,7 +39,8 @@ from polyhvec.cdwords import (
     word_cd,
 )
 from polyhvec.hpoly import KeyedPoly
-from polyhvec.hvector import flag_from_h, h_of_cdvector
+from polyhvec.hvector import flag_from_h, g_of_cdvector, h_of_cdvector
+from polyhvec.hvector import toric_of_cdvector
 from polyhvec.lattice import Bipyr, Simplex, parse_expr
 from polyhvec.linalg import LinearSolver, mat_det, mat_rank, pivot_rows
 
@@ -309,6 +309,16 @@ def test_cd_coordinates_match_a_dense_solve(case):
     assert cd_coordinates(psi, d) == CDVector(d, dict(zip(cd_words(d), x)))
 
 
+def test_solve_and_split_invert_each_word_at_degrees_11_and_12():
+    # above degree 10 no dense solve runs; by linearity, every word's own
+    # cd-index solving to that word shows that the solve inverts P_d
+    for d in (11, 12):
+        for w in cd_words(d):
+            psi = dict(word_cd(w))
+            assert cd_coordinates(psi, d) == word_vector(w)
+            assert cd_index(cd_index_flag(psi, d)) == psi
+
+
 def test_cd_coordinates_refuse_stray_monomials():
     assert cd_coordinates({"cc": 1, "d": 0}, 2) == word_vector("CC") - word_vector("D")
     for psi in ({"cc": 1, "ccc": 5}, {"cc": 1, "x": 3}, {3: 1}, {"": 1}):
@@ -476,7 +486,9 @@ def test_change_of_basis_round_trips(v):
 @given(cd_vectors(), st.data(), st.integers(-50, 50), st.integers(-50, 50))
 def test_change_of_basis_is_linear(u, data, a, b):
     v = data.draw(cd_vectors(u.degree))
-    f = linear_combine([(a, cd_flag(u)), (b, cd_flag(v))])
+    f = cd_flag(u).scaled(a) + cd_flag(v).scaled(b)
     assert to_cd_basis(f) == u.scaled(a) + v.scaled(b)
-    h = h_of_cdvector(u).scaled(a) + h_of_cdvector(v).scaled(b)
-    assert h_of_cdvector(u.scaled(a) + v.scaled(b)) == h
+    # every value extended from words is linear
+    for value in (cd_flag, h_of_cdvector, g_of_cdvector, toric_of_cdvector, expand_I):
+        combo = value(u).scaled(a) + value(v).scaled(b)
+        assert value(u.scaled(a) + v.scaled(b)) == combo, value.__name__

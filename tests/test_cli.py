@@ -213,6 +213,7 @@ def test_huge_arguments_fail_fast(capsys, text):
     assert code in (2, 3)
     assert out == ""
     assert len(err.splitlines()) == 1
+    assert len(err.encode()) < 200  # the limit, not the input, is stated
 
 
 @pytest.mark.parametrize(

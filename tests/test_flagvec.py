@@ -10,7 +10,6 @@ from polyhvec import (
     dim_subsets,
     dual_flag,
     empty_flag,
-    linear_combine,
     point_flag,
     prism_flag,
     pyramid_flag,
@@ -55,19 +54,17 @@ def test_extended_get_rejects_out_of_range():
         SEGMENT.get((-2,))
 
 
-def test_linear_combine_square_minus_triangle():
-    diff = linear_combine([(1, SQUARE), (-1, TRIANGLE)])
+def test_flag_difference_square_minus_triangle():
+    diff = SQUARE - TRIANGLE
     assert diff == FlagVector(2, {(0,): 1, (1,): 1, (0, 1): 2})
     assert diff.get(()) == 0
 
 
-def test_linear_combine_trivia():
-    assert linear_combine([(0, SQUARE)]) == FlagVector(2, {})
-    assert linear_combine([(2, point_flag())]) == FlagVector(0, {(): 2})
+def test_flag_sum_trivia():
+    assert SQUARE.scaled(0) == FlagVector(2, {})
+    assert point_flag().scaled(2) == FlagVector(0, {(): 2})
     with pytest.raises(ValueError):
-        linear_combine([(1, SQUARE), (1, point_flag())])
-    with pytest.raises(ValueError):
-        linear_combine([])
+        SQUARE + point_flag()
 
 
 def test_pyramid_examples():
@@ -144,10 +141,10 @@ def test_operators_are_linear():
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
         f = rng.choice(pool)
         g = rng.choice([h for h in pool if h.dim == f.dim])
-        combo = linear_combine([(a, f), (b, g)])
+        combo = f.scaled(a) + g.scaled(b)
         for op in ops:
             lhs = op(combo)
-            rhs = linear_combine([(a, op(f)), (b, op(g))])
+            rhs = op(f).scaled(a) + op(g).scaled(b)
             assert lhs == rhs, op.__name__
 
 

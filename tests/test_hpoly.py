@@ -83,6 +83,8 @@ def test_key_degree_and_shorthand():
         Key((1,), ())
     with pytest.raises(ValueError):
         Key((-1,), (0,))
+    with pytest.raises(ValueError):
+        Key((1,), (0,))._replace(ds=(-1,))
 
 
 def test_keys_are_immutable_values():

@@ -18,7 +18,6 @@ from polyhvec import (
     expr_dim,
     expr_str,
     is_eulerian,
-    linear_combine,
     link_flag,
     parse_expr,
     point_flag,
@@ -42,7 +41,6 @@ from polyhvec.lattice import (
     Pt,
     Simplex,
     eval_cd,
-    face_count,
     face_count_bound,
     is_buildable,
 )
@@ -206,7 +204,7 @@ def test_bipyramid_face_counts():
 
 def test_face_count_prediction_matches_build():
     for e in sample_expressions(4):
-        assert face_count(e) == len(build_lattice(e))
+        assert face_count_bound(e) == len(build_lattice(e))
 
 
 def test_sized_nodes_count_by_their_closed_forms():
@@ -235,7 +233,7 @@ def test_face_cap_rejects_huge_builds():
     with pytest.raises(FaceCountLimitError):
         build_lattice(Cube(20))
     with pytest.raises(ValueError):
-        face_count(Diamond(Pt()))
+        build_lattice(Diamond(Pt()))
 
 
 def test_chain_count_examples():
@@ -348,7 +346,7 @@ def test_cached_flag_vectors_do_not_change_through_aliases():
             cd_index(f)
             product_flag(f, f)
             dual_flag(f)
-            linear_combine([(2, f), (-1, f)])
+            f.scaled(2) + f.scaled(-1)
             assert cached(e) is f
             assert f == cached.__wrapped__(e)
 
@@ -552,7 +550,7 @@ def test_random_expressions_round_trip(e):
 def test_random_operator_values_match_chain_counting(e):
     assert is_buildable(e)
     assert eval_flag(e) == flag_of_lattice(e)
-    assert face_count(e) == len(build_lattice(e))
+    assert face_count_bound(e) == len(build_lattice(e))
     assert expr_dim(e) == build_lattice(e).dim
 
 

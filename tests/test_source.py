@@ -1,18 +1,26 @@
-"""Source hygiene: no import and no private module-level name is left
-unused, and no fast-path module loads an oracle.
+"""Source hygiene: no import and no module-level name is left unused, and
+no fast-path module loads an oracle.
 
-A deletion that strands an import or a private helper fails here, and so
-does an import of `oracle`, `verify` or `linalg` that runs when a
-fast-path module loads, read from the syntax trees of the package's
-modules.
+A deletion that strands an import, a private helper or a public function
+or class fails here, and so does an import of `oracle`, `verify` or
+`linalg` that runs when a fast-path module loads, read from the syntax
+trees of the package's modules.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "polyhvec"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "polyhvec"
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 MODULES = sorted(name for name in TREES if name != "__init__.py")
+# the code that may read a public name: the package, its tests, the benchmark
+READERS = [
+    ast.parse(path.read_text())
+    for folder in (SRC, ROOT / "tests", ROOT / "perfbench")
+    for path in sorted(folder.glob("*.py"))
+]
 
 
 def read_names(tree):
@@ -60,6 +68,20 @@ def test_every_private_module_name_is_read():
                     private = isinstance(n, ast.Name) and n.id.startswith("_")
                     if private and not n.id.startswith("__"):
                         assert n.id in read, f"{name} defines {n.id}; nothing reads it"
+
+
+def test_every_public_function_and_class_is_read():
+    # outside its own body: a recursive call or a method reading its own
+    # class does not keep a definition alive
+    read = Counter(name for tree in READERS for name in read_names(tree))
+    for name in MODULES:
+        for node in TREES[name].body:
+            defined = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if defined and not node.name.startswith("_"):
+                own = Counter(read_names(node))
+                assert read[node.name] > own[node.name], (
+                    f"{name} defines {node.name}; nothing else reads it"
+                )
 
 
 FAST_PATH = ["__init__", "cli", "cdwords", "errors", "flagvec", "hpoly", "hvector", "lattice"]
