@@ -58,9 +58,11 @@ split by one slice at len(cd_words(d - 1)).
   P_d unimodular by induction, and no P_d is ever built.
 
 MAX_BASIS_DEGREE = 12 is a resource cap, kept until one work budget
-bounds the whole call.  The factors of M_2 .. M_12 take about 0.04 s,
-the factor of each further degree about twice the last, and a solve at
-d = 12 about 0.002 s once they exist (one 2-vCPU machine, in-process).
+bounds the whole call; `check_basis_degree` guards the solve and the
+peel (`hvector.cd_from_h`).  The factors of M_2 .. M_12 take about
+0.04 s, the factor of each further degree about twice the last, and a
+solve at d = 12 about 0.002 s once they exist (one 2-vCPU machine,
+in-process).
 `table`, `basis` and `hvector.flag_from_h` fold `word_cd` and expand
 the result; `word_flag`, `cd_flag`, `basis_matrix` and `to_cd_basis`,
 which fold or undo the flag operators, stay in `oracle` as their oracle.
@@ -359,11 +361,3 @@ def cd_coordinates(psi, d: int) -> CDVector:
     check_basis_degree(d)
     x = _coordinates(_coefficients(psi, d), d)
     return CDVector(d, dict(zip(cd_words(d), x)))
-
-
-def __getattr__(name):  # oracle names for the tracer; leave with ROADMAP item 1b
-    if name in ("word_flag", "to_cd_basis", "cd_flag"):
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

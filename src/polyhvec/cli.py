@@ -31,14 +31,7 @@ from .cdwords import (
 from .errors import ExprParseError, FaceCountLimitError, NotInCDSpanError
 from .flagvec import dim_subsets
 from .hvector import h_of_cdvector, toric_of_cdvector
-from .lattice import (
-    DEFAULT_FACE_CAP,
-    eval_cd,
-    eval_flag,
-    expr_dim,
-    face_count_bound,
-    parse_expr,
-)
+from .lattice import check_face_count, eval_cd, eval_flag, expr_dim, parse_expr
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -94,10 +87,7 @@ def cmd_single(args) -> int:
     expr = parse_expr(args.input)
     # resource limits go before any evaluation; past the face cap the
     # expression may be too deep to walk recursively
-    if face_count_bound(expr) > DEFAULT_FACE_CAP:
-        raise FaceCountLimitError(
-            f"the input needs more than {DEFAULT_FACE_CAP} faces, over the cap"
-        )
+    check_face_count(expr)
     out = sys.stdout
     if args.command == "flag" and args.format == "text":
         flag = eval_flag(expr)

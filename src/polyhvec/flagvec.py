@@ -176,11 +176,3 @@ def product_flag(f: FlagVector, g: FlagVector) -> FlagVector:
             for S, n in counts.items():
                 total[S] += weight * n
     return FlagVector.from_values(p + q, total)
-
-
-def __getattr__(name):  # oracle names for the tracer; leave with ROADMAP item 1b
-    if name in ("pyramid_flag", "prism_flag", "d_flag", "dual_flag"):
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

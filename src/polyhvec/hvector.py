@@ -209,6 +209,7 @@ def cd_from_h(kp: KeyedPoly) -> CDVector:
     """
     if kp.dim < 0:
         raise ValueError("flag recovery needs dimension >= 0")
+    check_basis_degree(kp.dim)  # before the peel, which an over-cap value pays for
     rest = h_coordinates(kp)  # rejects non-palindromic and ill-keyed input
     coeffs = {}
     for w, at, row in _peel_order(kp.dim):
@@ -227,17 +228,8 @@ def flag_from_h(kp: KeyedPoly) -> FlagVector:
 
     The peeled CD-coordinates' word cd-indices, summed and expanded.
     """
-    check_basis_degree(kp.dim)  # before the peel, which an over-cap value pays for
     psi: dict[str, int] = {}
     for w, c in cd_from_h(kp).coeffs.items():
         for m, k in word_cd(w).items():
             psi[m] = psi.get(m, 0) + c * k
     return cd_index_flag(psi, kp.dim)
-
-
-def __getattr__(name):  # oracle names for the tracer; leave with ROADMAP item 1b
-    if name == "h_via_links":
-        from . import oracle
-
-        return oracle.h_via_links
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

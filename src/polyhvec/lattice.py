@@ -31,7 +31,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .cdwords import cd_index, cd_index_flag, diamond_cd, dual_cd, prism_cd, pyramid_cd
-from .errors import ExprParseError
+from .errors import ExprParseError, FaceCountLimitError
 from .flagvec import FlagVector, product_flag
 
 DEFAULT_FACE_CAP = 10**6
@@ -229,8 +229,8 @@ def face_count_bound(e: Expr) -> int:
     Exact for buildable expressions; virtual ones are covered through the
     D bound.  A count above DEFAULT_FACE_CAP comes back as one more, and
     every step but dual (which keeps the count) at least doubles it, so a
-    run of any length saturates within log2 of the cap.  The CLI and
-    `oracle.build_lattice` check it against the cap.
+    run of any length saturates within log2 of the cap.  `check_face_count`
+    checks it against the cap.
     """
     base, runs = _runs(e)
     n = 2
@@ -245,6 +245,14 @@ def face_count_bound(e: Expr) -> int:
             if n == before:
                 break
     return min(n, DEFAULT_FACE_CAP + 1)
+
+
+def check_face_count(e: Expr):
+    """Refuse an expression over DEFAULT_FACE_CAP faces, before any work."""
+    if face_count_bound(e) > DEFAULT_FACE_CAP:
+        raise FaceCountLimitError(
+            f"the input needs more than {DEFAULT_FACE_CAP} faces, over the cap"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +312,3 @@ def eval_flag(e: Expr) -> FlagVector:
     No flag operator is on this path; they are its oracle.
     """
     return cd_index_flag(eval_cd(e), expr_dim(e))
-
-
-
-def __getattr__(name):  # oracle names for the tracer; leave with ROADMAP item 1b
-    traced = "build_lattice chain_count_flag interval_lattice link_flag total_link_vector"
-    if name in traced.split():
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,6 +5,8 @@ Every fast path keeps a slow, independent route that the tests and
 `polyhvec verify` compare it against; they all live here, and only
 `verify`, the tests and the benchmark's tracer import this module, so
 `flag`, `hvec`, `toric`, `table` and `basis` never compile or load it.
+When it loads, the table at its end (`_TRACED`) binds the tracer's 13
+names onto the fast-path modules they left, with no second copy.
 The flag operators run on `flagvec`'s bitmask tuples, each cut of a
 chain splice a few list-slice additions (see `pyramid_flag`); word flags
 fold them over CD-words, and `CDVector.combine` extends those linearly
@@ -25,15 +27,13 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, groupby, product
 from operator import add
 
-from .cdwords import CDVector, cd_coordinates, cd_index, cd_words, check_basis_degree
-from .cdwords import check_word
-from .errors import FaceCountLimitError
+from . import cdwords, flagvec, hvector, lattice
+from .cdwords import CDVector, cd_coordinates, cd_index, cd_words, check_word
 from .flagvec import FlagVector, dim_subsets, point_flag
 from .hpoly import EMPTY_KEY, HPoly, KeyedPoly, monomial, x_minus_y_power, zero_poly
 from .hvector import g_of_cdvector, h_coordinates, h_of_cdvector, h_of_word
 from .hvector import toric_of_cdvector
-from .lattice import _C, _DUAL, _I, DEFAULT_FACE_CAP, Expr, _runs, face_count_bound
-from .lattice import is_buildable
+from .lattice import _C, _DUAL, _I, Expr, _runs, check_face_count, is_buildable
 from .lattice import Bipyr, Cone, Crosspoly, Cube, Dual, Prism, Prod, Pt, Simplex
 
 
@@ -170,9 +170,6 @@ def basis_matrix(d: int) -> list[list[int]]:
 
 def to_cd_basis(f: FlagVector) -> CDVector:
     """Exact CD-coordinates of a flag vector; error when none exist."""
-    if f.dim < 0:
-        raise ValueError("CD-coordinates need dimension >= 0")
-    check_basis_degree(f.dim)
     return cd_coordinates(cd_index(f), f.dim)
 
 
@@ -367,10 +364,7 @@ def _build(e: Expr) -> FaceLattice:
 def build_lattice(e: Expr) -> FaceLattice:
     if not is_buildable(e):
         raise ValueError("expressions containing D denote no polytope lattice")
-    if face_count_bound(e) > DEFAULT_FACE_CAP:
-        raise FaceCountLimitError(
-            f"the lattice has more than {DEFAULT_FACE_CAP} faces, over the cap"
-        )
+    check_face_count(e)
     return _build(e)
 
 
@@ -557,3 +551,20 @@ def h_matrix(d: int) -> list[list[int]]:
     rows = [h_coordinates(h_of_word(w)) for w in words]
     assert all(len(r) == len(words) for r in rows), "coordinate count != word count"
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the names the benchmark's tracer reads on the modules they left, bound
+# there once this module loads; the table leaves with ROADMAP item 1b
+
+_TRACED = {
+    lattice: (
+        build_lattice, chain_count_flag, interval_lattice, link_flag, total_link_vector
+    ),
+    flagvec: (pyramid_flag, prism_flag, d_flag, dual_flag),
+    cdwords: (word_flag, to_cd_basis, cd_flag),
+    hvector: (h_via_links,),
+}
+for module, functions in _TRACED.items():
+    for fn in functions:
+        setattr(module, fn.__name__, fn)

@@ -256,6 +256,23 @@ def test_basis_matrices_are_unimodular():
         assert mat_det(basis_cd_rows(d)) == dets[d]
 
 
+def test_letter_factors_stay_sparse():
+    # entries held per factor: the multipliers below the pivots (L) and the
+    # entries right of them (U); each U_d holds as many as L_(d-1)
+    def sizes(d):
+        steps = _letter_factor(d)
+        lower = sum(len(below) for _, below, _ in steps)
+        upper = sum(len(right) for _, _, right in steps)
+        return lower, upper
+
+    lower, upper = sizes(12)
+    assert lower <= 1164 and upper <= 655
+    lower, upper = sizes(10)
+    assert lower <= 365 and upper <= 201
+    for d in range(3, MAX_BASIS_DEGREE + 1):
+        assert sizes(d)[1] == sizes(d - 1)[0]
+
+
 def test_unit_lu_refuses_other_pivots():
     with pytest.raises(ValueError):
         _unit_lu([{0: 2}, {1: 1}])  # invertible, but not over the integers

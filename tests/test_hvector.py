@@ -293,9 +293,10 @@ def test_flag_from_h_refuses_an_over_cap_value_before_the_peel(monkeypatch):
     def refuse(_):
         raise AssertionError("an over-cap h-value was peeled")
 
-    monkeypatch.setattr(hvector, "cd_from_h", refuse)
-    with pytest.raises(FaceCountLimitError):
-        flag_from_h(value)
+    monkeypatch.setattr(hvector, "_peel_order", refuse)
+    for recover in (cd_from_h, flag_from_h):
+        with pytest.raises(FaceCountLimitError):
+            recover(value)
 
 
 def test_prism_law_on_polytopes():
