@@ -20,20 +20,24 @@ entry at S is the cd-index read one letter at a time: a c at position i
 weighs 1 + s_i, and a d at positions i, i + 1 weighs s_i + s_(i+1)
 (c = a + b and d = ab + ba, with a read as 1 and b as s_i).  So for
 Psi = cX + dY, F(Psi)[S] = (1 + s_0) F(X)[S >> 1] + (s_0 + s_1) F(Y)[S >> 2],
-and `cd_index_flag` expands by that recursion.  It, the split and the
-solve all run on coefficient lists in `cd_monomials` order, where the
-monomials that start with c come first: a degree-d list is cX then dY,
-split by one slice at len(cd_words(d - 1)).
+and `cd_index_flag` expands by that recursion.  A degree-d cd-polynomial
+is the tuple of its coefficients in `cd_monomials` order, where the
+monomials that start with c come first: a degree-d tuple is cX then dY,
+split by one slice at len(cd_words(d - 1)).  The operators, the
+expansion, the split and the solve all run on it.
 
 * Operators (`pyramid_cd`, `prism_cd`, `diamond_cd`, `dual_cd`): the
-  derivations of Ehrenborg and Readdy (J. Algebraic Combin. 8, 1998).
-  The pyramid maps Psi to c Psi + G(Psi), G the derivation with G(c) = d
-  and G(d) = dc; the prism maps Psi to Psi c + D'(Psi), D' the derivation
-  with D'(c) = 2d and D'(d) = cd + dc; D is the prism of the pyramid
-  minus the pyramid of the pyramid; the dual reverses every monomial
-  (Stanley, Math. Z. 216, 1994).  `word_cd` folds the pyramid and the
-  diamond over a word, with no flag vector built: CCC folds to
-  c^3 + 2cd + 2dc, and D to d.
+  derivations of Ehrenborg and Readdy (J. Algebraic Combin. 8, 1998),
+  pyramid(Psi) = c Psi + G(Psi) with G(c) = d, G(d) = dc, and
+  prism(Psi) = Psi c + D'(Psi) with D'(c) = 2d, D'(d) = cd + dc.  Read at
+  the first letter of Psi = cA + dB, they recurse on the blocks A and B:
+      pyramid(Psi) = c[pyramid(A) + dB] + d[A + pyramid(B)],
+      prism(Psi) = c[prism(A) + dB] + d[2A + cB + prism(B)].
+  D is the prism of the pyramid minus the pyramid of the pyramid; the
+  dual reverses every monomial (Stanley, Math. Z. 216, 1994), one
+  permutation of the tuple per degree.  `word_cd` folds the pyramid and
+  the diamond over a word, with no flag vector built: CCC folds to
+  c^3 + 2cd + 2dc, the tuple (1, 2, 2), and D to d, the tuple (0, 1).
 * Split (`cd_index`), only where a flag vector comes in (a product's
   base, `oracle.to_cd_basis`): the same recursion backwards.  With X of degree
   d - 1 and Y of degree d - 2, the masks 4r, 4r+1, 4r+2 give
@@ -71,7 +75,7 @@ which fold or undo the flag operators, stay in `oracle` as their oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from types import MappingProxyType
+from operator import add, sub
 
 from .errors import FaceCountLimitError, NotInCDSpanError
 from .flagvec import FlagVector
@@ -181,68 +185,71 @@ def cd_monomials(d: int) -> tuple[str, ...]:
     return tuple(w.lower() for w in cd_words(d))
 
 
-# images of the letters under the derivations G (pyramid) and D' (prism)
-_PYRAMID_RULE = {"c": (("d", 1),), "d": (("dc", 1),)}
-_PRISM_RULE = {"c": (("d", 2),), "d": (("cd", 1), ("dc", 1))}
+def pyramid_cd(v, n: int) -> tuple:
+    """cd-index of the pyramid over the degree-n v:
+    pyramid(cA + dB) = c[pyramid(A) + dB] + d[A + pyramid(B)]."""
+    if not any(v):
+        return (0,) * len(cd_words(n + 1))
+    if n < 2:
+        return v * (n + 1)  # the pyramid of 1 is c, of c is cc + d
+    k = len(cd_words(n - 1))
+    a, b = v[:k], v[k:]
+    p = pyramid_cd(a, n - 1)
+    return p[:k] + tuple(map(add, p[k:], b)) + tuple(map(add, a, pyramid_cd(b, n - 2)))
 
 
-def _operator(psi: dict, rule: dict, left: str, right: str) -> dict:
-    """left.psi.right plus the derivation with letter images `rule` of psi."""
-    out: dict[str, int] = {}
-    for m, k in psi.items():
-        out[left + m + right] = out.get(left + m + right, 0) + k
-        for i, letter in enumerate(m):
-            for image, n in rule[letter]:
-                key = m[:i] + image + m[i + 1 :]
-                out[key] = out.get(key, 0) + n * k
-    return {m: k for m, k in out.items() if k}
+def prism_cd(v, n: int) -> tuple:
+    """cd-index of the prism over the degree-n v:
+    prism(cA + dB) = c[prism(A) + dB] + d[2A + cB + prism(B)]."""
+    if not any(v):
+        return (0,) * len(cd_words(n + 1))
+    if n < 2:
+        return v + (2 * v[0],) * n  # the prism of 1 is c, of c is cc + 2d
+    k = len(cd_words(n - 1))
+    a, b = v[:k], v[k:]
+    p = prism_cd(a, n - 1)
+    cb = b + (0,) * (k - len(b))  # cB has no monomials that start with d
+    d_part = map(add, map(add, a, a), map(add, cb, prism_cd(b, n - 2)))
+    return p[:k] + tuple(map(add, p[k:], b)) + tuple(d_part)
 
 
-def pyramid_cd(psi) -> dict:
-    """cd-index of the pyramid: c psi + G(psi)."""
-    return _operator(psi, _PYRAMID_RULE, "c", "")
-
-
-def prism_cd(psi) -> dict:
-    """cd-index of the prism: psi c + D'(psi)."""
-    return _operator(psi, _PRISM_RULE, "", "c")
-
-
-def diamond_cd(psi) -> dict:
+def diamond_cd(v, n: int) -> tuple:
     """cd-index of the diamond: prism of the pyramid minus pyramid of the pyramid."""
-    cone = pyramid_cd(psi)
-    out = prism_cd(cone)
-    for m, k in pyramid_cd(cone).items():
-        out[m] = out.get(m, 0) - k
-    return {m: k for m, k in out.items() if k}
-
-
-def dual_cd(psi) -> dict:
-    """cd-index of the dual: every monomial reversed."""
-    return {m[::-1]: k for m, k in psi.items()}
+    cone = pyramid_cd(v, n)
+    return tuple(map(sub, prism_cd(cone, n + 1), pyramid_cd(cone, n + 1)))
 
 
 @lru_cache(maxsize=None)
-def word_cd(w: str) -> MappingProxyType:
-    """cd-index of a word applied to the point, as a read-only monomial map."""
+def _reversal(n: int) -> tuple[int, ...]:
+    """For each degree-n monomial, the position of its reverse."""
+    at = {m: i for i, m in enumerate(cd_monomials(n))}
+    return tuple(at[m[::-1]] for m in cd_monomials(n))
+
+
+def dual_cd(v, n: int) -> tuple:
+    """cd-index of the dual: every monomial reversed."""
+    return tuple(map(v.__getitem__, _reversal(n)))
+
+
+@lru_cache(maxsize=None)
+def word_cd(w: str) -> tuple:
+    """cd-index of a word applied to the point."""
     check_word(w)
     if w == "":
-        return MappingProxyType({"": 1})
+        return (1,)
+    rest = w[1:]
     step = pyramid_cd if w[0] == "C" else diamond_cd
-    return MappingProxyType(step(word_cd(w[1:])))
+    return step(word_cd(rest), len(rest) + rest.count("D"))
 
 
-def _coefficients(psi, d: int) -> list[int]:
-    """psi's coefficients in `cd_monomials(d)` order; ValueError on any other key."""
-    monomials = cd_monomials(d)
-    stray = psi.keys() - set(monomials)
-    if stray:
-        raise ValueError(f"not cd-monomials of degree {d}: {sorted(map(repr, stray))}")
-    return [psi.get(m, 0) for m in monomials]
+def _check_length(v, d: int):
+    """ValueError unless v holds one coefficient per degree-d monomial."""
+    if len(v) != len(cd_words(d)):
+        raise ValueError(f"{len(v)} coefficients, not {len(cd_words(d))} of degree {d}")
 
 
-def _expand(v: list[int], n: int) -> list[int]:
-    """Flag entries by bitmask of the degree-n coefficient list v, letter by letter."""
+def _expand(v, n: int) -> list[int]:
+    """Flag entries by bitmask of the degree-n coefficients v, letter by letter."""
     if not any(v):
         return [0] * (1 << n)
     if n < 2:
@@ -258,7 +265,8 @@ def _expand(v: list[int], n: int) -> list[int]:
 
 def cd_index_flag(psi, d: int) -> FlagVector:
     """Flag vector of a degree-d cd-polynomial, read one letter at a time."""
-    return FlagVector.from_values(d, _expand(_coefficients(psi, d), d))
+    _check_length(psi, d)
+    return FlagVector.from_values(d, _expand(psi, d))
 
 
 def _split(f, n: int) -> list[int]:
@@ -280,11 +288,11 @@ def _split(f, n: int) -> list[int]:
     return _split(x, n - 1) + _split(y, n - 2)
 
 
-def cd_index(f: FlagVector) -> dict[str, int]:
+def cd_index(f: FlagVector) -> tuple:
     """The cd-index of f, split from all 2^d entries; NotInCDSpanError if none."""
     if f.dim < 0:
         raise ValueError("a cd-index needs dimension >= 0")
-    return {m: k for m, k in zip(cd_monomials(f.dim), _split(f.values, f.dim)) if k}
+    return tuple(_split(f.values, f.dim))
 
 
 def _unit_lu(rows: list[dict[int, int]]) -> tuple:
@@ -324,6 +332,12 @@ def _lu_solve(steps: tuple, v: list[int]) -> list[int]:
     return v
 
 
+def _units(n: int):
+    """The degree-n monomials as coefficient tuples, in `cd_monomials` order."""
+    size = len(cd_words(n))
+    return ((0,) * j + (1,) + (0,) * (size - j - 1) for j in range(size))
+
+
 @lru_cache(maxsize=None)
 def _letter_factor(d: int) -> tuple:
     """The unit-pivot factors of M_d, for d >= 2.
@@ -333,13 +347,13 @@ def _letter_factor(d: int) -> tuple:
     pyramid(alpha) + diamond(beta).  Column j pivots on row j of
     `cd_monomials(d)`: the pyramid of m on row cm, the diamond of m on dm.
     """
-    index = {m: i for i, m in enumerate(cd_monomials(d))}
-    images = [pyramid_cd({m: 1}) for m in cd_monomials(d - 1)]
-    images += [diamond_cd({m: 1}) for m in cd_monomials(d - 2)]
+    images = [pyramid_cd(u, d - 1) for u in _units(d - 1)]
+    images += [diamond_cd(u, d - 2) for u in _units(d - 2)]
     rows = [{} for _ in images]
     for j, image in enumerate(images):
-        for m, k in image.items():
-            rows[index[m]][j] = k
+        for i, k in enumerate(image):
+            if k:
+                rows[i][j] = k
     return _unit_lu(rows)
 
 
@@ -359,5 +373,6 @@ def _coordinates(v: list[int], d: int) -> list[int]:
 def cd_coordinates(psi, d: int) -> CDVector:
     """CD-coordinates of a degree-d cd-polynomial, solved one letter at a time."""
     check_basis_degree(d)
-    x = _coordinates(_coefficients(psi, d), d)
+    _check_length(psi, d)
+    x = _coordinates(list(psi), d)
     return CDVector(d, dict(zip(cd_words(d), x)))

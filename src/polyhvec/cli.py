@@ -30,8 +30,6 @@ from .cdwords import (
 )
 from .errors import ExprParseError, FaceCountLimitError, NotInCDSpanError
 from .flagvec import dim_subsets
-from .hvector import h_of_cdvector, toric_of_cdvector
-from .lattice import check_face_count, eval_cd, eval_flag, expr_dim, parse_expr
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -41,33 +39,31 @@ EXIT_SPAN = 4
 EXIT_PIPE = 141
 
 
-def format_dimset(S) -> str:
-    return "{" + ",".join(map(str, S)) + "}"
-
-
 JSON_HEAD, TEXT_HEAD = ("[[", "],"), ("{", "}: ")  # around a set's elements
 
 
-def flag_heads(d: int, start: str, end: str):
-    """For each set size r, shortest first, the heads of the r-sets, lazily."""
-    return (
-        (start + ",".join(map(str, S)) + end for S in combinations(range(d), r))
-        for r in range(max(d, 0) + 1)
-    )
+def flag_heads(d: int, start: str, end: str, sizes=None) -> tuple[list, list]:
+    """The heads of a dimension-d flag vector's rows in `dim_subsets` order,
+    and beside them the bitmasks of their sets; only sets of `sizes`, if given."""
+    bits = [1 << t for t in range(d)]
+    heads, masks = [], []
+    for r in sizes or range(max(d, 0) + 1):
+        sets = combinations(range(d), r)
+        heads += (start + ",".join(map(str, S)) + end for S in sets)
+        masks += map(sum, combinations(bits, r))
+    return heads, masks
 
 
-def flag_chunks(flag, heads, sep: str):
-    """Per set size, its rows (head, then value) in `dim_subsets` order, by `sep`."""
-    bits = [1 << t for t in range(flag.dim)]
-    value = flag.values.__getitem__
-    for r, level in enumerate(heads):
-        masks = map(sum, combinations(bits, r))
-        yield sep.join(map(add, level, map(str, map(value, masks))))
+def flag_rows(flag, heads, order, sep: str) -> str:
+    """Each set's row, its head then its value, joined by `sep`."""
+    return sep.join(map(add, heads, map(str, map(flag.values.__getitem__, order))))
 
 
 def json_record(input_str: str, flag, cd, heads=None) -> str:
-    """The JSON record of one input; `heads` are its flag's JSON heads, if kept."""
-    rows = "],".join(flag_chunks(flag, heads or flag_heads(flag.dim, *JSON_HEAD), "],"))
+    """The JSON record of one input; `heads` are its flag's `flag_heads`, if kept."""
+    from .hvector import h_of_cdvector, toric_of_cdvector  # only h-values load it
+
+    rows = flag_rows(flag, *(heads or flag_heads(flag.dim, *JSON_HEAD)), "],")
     h = _dump([[str(key), list(p.coeffs)] for key, p in h_of_cdvector(cd).items()])
     toric = _dump(list(toric_of_cdvector(cd).coeffs))
     return (
@@ -84,6 +80,8 @@ def _dump(value) -> str:
 
 def cmd_single(args) -> int:
     """flag, hvec or toric on one input."""
+    from .lattice import check_face_count, eval_cd, eval_flag, expr_dim, parse_expr
+
     expr = parse_expr(args.input)
     # resource limits go before any evaluation; past the face cap the
     # expression may be too deep to walk recursively
@@ -91,9 +89,13 @@ def cmd_single(args) -> int:
     out = sys.stdout
     if args.command == "flag" and args.format == "text":
         flag = eval_flag(expr)
-        for chunk in flag_chunks(flag, flag_heads(flag.dim, *TEXT_HEAD), "\n"):
-            out.write(chunk + "\n")
+        # one set size per write: past a closed pipe, the next write raises
+        for r in range(max(flag.dim, 0) + 1):
+            heads = flag_heads(flag.dim, *TEXT_HEAD, sizes=(r,))
+            out.write(flag_rows(flag, *heads, "\n") + "\n")
         return EXIT_OK
+    from .hvector import h_of_cdvector, toric_of_cdvector  # only h-values load it
+
     d = expr_dim(expr)
     check_basis_degree(d)  # the rest needs CD-coordinates
     psi = eval_cd(expr)
@@ -108,10 +110,12 @@ def cmd_single(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .hvector import h_of_cdvector, toric_of_cdvector
+
     out = sys.stdout
     head = JSON_HEAD if args.format == "json" else TEXT_HEAD
     for degree in range(args.max_dim + 1):
-        heads = list(map(list, flag_heads(degree, *head)))  # kept for every word
+        heads = flag_heads(degree, *head)  # kept for every word
         for w in cd_words(degree):
             name = f"{w}(pt)" if w else "pt"
             flag = cd_index_flag(word_cd(w), degree)
@@ -119,7 +123,7 @@ def cmd_table(args) -> int:
             if head is JSON_HEAD:
                 out.write(json_record(name, flag, cd, heads) + "\n")
                 continue
-            rows = "  ".join(flag_chunks(flag, heads, "  "))
+            rows = flag_rows(flag, *heads, "  ")
             out.write(
                 f"input: {name}\ndim: {degree}\nflag: {rows}\nh: {h_of_cdvector(cd)}\n"
                 f"toric: {toric_of_cdvector(cd).bracket()}\n\n"
@@ -130,21 +134,20 @@ def cmd_table(args) -> int:
 def cmd_basis(args) -> int:
     d = args.degree
     words = cd_words(d)
-    cols = dim_subsets(d)
-    masks = [sum(1 << t for t in S) for S in cols]
+    heads, masks = flag_heads(d, "{", "}")
     matrix = [
         list(map(cd_index_flag(word_cd(w), d).values.__getitem__, masks)) for w in words
     ]
     if args.format == "json":
         payload = {
             "degree": d,
-            "dimsets": [list(S) for S in cols],
+            "dimsets": [list(S) for S in dim_subsets(d)],
             "words": [w if w else "pt" for w in words],
             "matrix": matrix,
         }
         sys.stdout.write(_dump(payload) + "\n")
     else:
-        sys.stdout.write("dimsets: " + " ".join(format_dimset(S) for S in cols) + "\n")
+        sys.stdout.write("dimsets: " + " ".join(heads) + "\n")
         for w, row in zip(words, matrix):
             sys.stdout.write(f"{w if w else 'pt'}: " + " ".join(map(str, row)) + "\n")
     return EXIT_OK

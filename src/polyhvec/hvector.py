@@ -228,8 +228,7 @@ def flag_from_h(kp: KeyedPoly) -> FlagVector:
 
     The peeled CD-coordinates' word cd-indices, summed and expanded.
     """
-    psi: dict[str, int] = {}
+    psi = [0] * len(cd_words(kp.dim))
     for w, c in cd_from_h(kp).coeffs.items():
-        for m, k in word_cd(w).items():
-            psi[m] = psi.get(m, 0) + c * k
+        psi = [p + c * k for p, k in zip(psi, word_cd(w))]
     return cd_index_flag(psi, kp.dim)

@@ -259,8 +259,8 @@ def check_face_count(e: Expr):
 # steps, nodes and evaluation
 
 # the four steps: dimension step, faces after from faces before (D = IC - CC
-# bounded by its IC branch) and step on cd-indices; `oracle._LATTICE_STEPS`
-# holds each step's face lattice, D's none
+# bounded by its IC branch) and step on cd-indices, given the degree before;
+# `oracle._LATTICE_STEPS` holds each step's face lattice, D's none
 _Step = namedtuple("_Step", "dim faces cd")
 _C = _Step(1, lambda n: 2 * n, pyramid_cd)
 _I = _Step(1, lambda n: 3 * (n - 1) + 1, prism_cd)
@@ -286,7 +286,7 @@ _UNARY_RUNS = {kind: n.runs[::-1] for kind, n in _NODES.items() if n.least is No
 _POINT = Pt()
 
 
-def eval_cd(e: Expr) -> dict[str, int]:
+def eval_cd(e: Expr) -> tuple:
     """cd-index of an expression: its runs' cd-index steps, folded.
 
     The base is the point or a product, whose flag vector comes from its
@@ -296,12 +296,14 @@ def eval_cd(e: Expr) -> dict[str, int]:
     """
     base, runs = _runs(e)
     if isinstance(base, Prod):
-        psi = cd_index(product_flag(eval_flag(base.left), eval_flag(base.right)))
+        f = product_flag(eval_flag(base.left), eval_flag(base.right))
+        psi, d = cd_index(f), f.dim
     else:
-        psi = {"": 1}
+        psi, d = (1,), 0
     for step, k in runs:
         for _ in range(k):
-            psi = step.cd(psi)
+            psi = step.cd(psi, d)
+            d += step.dim
     return psi
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +37,10 @@ from polyhvec.cdwords import (
     cd_index,
     cd_index_flag,
     cd_monomials,
+    diamond_cd,
+    dual_cd,
+    prism_cd,
+    pyramid_cd,
     word_cd,
 )
 from polyhvec.hpoly import KeyedPoly
@@ -300,7 +305,7 @@ def test_unit_lu_solves_when_every_leading_minor_is_a_unit(rows, data):
 
 def basis_cd_rows(d):
     """P_d: one row per degree-d word, its cd-index."""
-    return [[word_cd(w).get(m, 0) for m in cd_monomials(d)] for w in cd_words(d)]
+    return [list(word_cd(w)) for w in cd_words(d)]
 
 
 @lru_cache(maxsize=None)
@@ -315,14 +320,14 @@ def cd_polynomials(draw, max_degree=10):
     monomials = cd_monomials(d)
     coeff = st.just(0) | st.integers(-(10**6), 10**6)
     coeffs = draw(st.lists(coeff, min_size=len(monomials), max_size=len(monomials)))
-    return dict(zip(monomials, coeffs)), d
+    return tuple(coeffs), d
 
 
 @settings(max_examples=80, deadline=None)
 @given(cd_polynomials())
 def test_cd_coordinates_match_a_dense_solve(case):
     psi, d = case
-    x = basis_oracle(d).solve([psi.get(m, 0) for m in cd_monomials(d)])
+    x = basis_oracle(d).solve(list(psi))
     assert cd_coordinates(psi, d) == CDVector(d, dict(zip(cd_words(d), x)))
 
 
@@ -331,34 +336,124 @@ def test_solve_and_split_invert_each_word_at_degrees_11_and_12():
     # cd-index solving to that word shows that the solve inverts P_d
     for d in (11, 12):
         for w in cd_words(d):
-            psi = dict(word_cd(w))
+            psi = word_cd(w)
             assert cd_coordinates(psi, d) == word_vector(w)
             assert cd_index(cd_index_flag(psi, d)) == psi
 
 
 def test_cd_coordinates_refuse_stray_monomials():
-    assert cd_coordinates({"cc": 1, "d": 0}, 2) == word_vector("CC") - word_vector("D")
-    for psi in ({"cc": 1, "ccc": 5}, {"cc": 1, "x": 3}, {3: 1}, {"": 1}):
+    # a degree-2 tuple holds the coefficients of cc and d, in that order
+    assert cd_coordinates((1, 0), 2) == word_vector("CC") - word_vector("D")
+    for psi in ((1, 0, 5), (1,), (), (1, 0, 0, 3)):
         with pytest.raises(ValueError):
             cd_coordinates(psi, 2)
         with pytest.raises(ValueError):
             cd_index_flag(psi, 2)
     # the expansion and the split refuse what is no degree-d cd-polynomial
-    for psi, d in (({"cc": 1}, 1), ({}, -1), ({"": 1}, -1)):
+    for psi, d in (((1, 0), 1), ((), -1), ((1,), -1)):
         with pytest.raises(ValueError):
             cd_index_flag(psi, d)
     with pytest.raises(ValueError):
         cd_index(empty_flag())
     with pytest.raises(FaceCountLimitError):
-        cd_coordinates({}, MAX_BASIS_DEGREE + 1)
+        cd_coordinates((), MAX_BASIS_DEGREE + 1)
 
 
 def test_word_cd_examples():
-    assert word_cd("CCC") == {"ccc": 1, "cd": 2, "dc": 2}
-    assert word_cd("D") == {"d": 1}
-    assert word_cd("") == {"": 1}
+    assert cd_monomials(3) == ("ccc", "cd", "dc")
+    assert word_cd("CCC") == (1, 2, 2)
+    assert cd_monomials(2) == ("cc", "d") and word_cd("D") == (0, 1)
+    assert word_cd("") == (1,)
     with pytest.raises(ValueError):
         word_cd("CX")
+
+
+# The reference for the operators: the derivations of Ehrenborg and Readdy
+# on monomial strings, each letter of each monomial replaced by its image in
+# turn.  The pyramid is c psi + G(psi), G(c) = d and G(d) = dc; the prism is
+# psi c + D'(psi), D'(c) = 2d and D'(d) = cd + dc.
+PYRAMID_RULE = {"c": (("d", 1),), "d": (("dc", 1),)}
+PRISM_RULE = {"c": (("d", 2),), "d": (("cd", 1), ("dc", 1))}
+
+
+def splice(psi, rule, left, right):
+    """left.psi.right plus the derivation with letter images `rule` of psi."""
+    out = Counter()
+    for m, k in psi.items():
+        out[left + m + right] += k
+        for i, letter in enumerate(m):
+            for image, n in rule[letter]:
+                out[m[:i] + image + m[i + 1 :]] += n * k
+    return {m: k for m, k in out.items() if k}
+
+
+def reference_pyramid(psi):
+    return splice(psi, PYRAMID_RULE, "c", "")
+
+
+def reference_prism(psi):
+    return splice(psi, PRISM_RULE, "", "c")
+
+
+def reference_diamond(psi):
+    cone = reference_pyramid(psi)
+    out = Counter(reference_prism(cone))
+    out.subtract(reference_pyramid(cone))
+    return {m: k for m, k in out.items() if k}
+
+
+def reference_dual(psi):
+    return {m[::-1]: k for m, k in psi.items()}
+
+
+def monomial_map(v, d):
+    """The nonzero coefficients of a degree-d coefficient tuple, by monomial."""
+    assert len(v) == len(cd_monomials(d))
+    return {m: k for m, k in zip(cd_monomials(d), v) if k}
+
+
+def coefficient_tuple(psi, d):
+    """A monomial map's coefficients in `cd_monomials(d)` order."""
+    assert psi.keys() <= set(cd_monomials(d))
+    return tuple(psi.get(m, 0) for m in cd_monomials(d))
+
+
+REFERENCE_OPERATORS = [
+    (pyramid_cd, reference_pyramid, 1),
+    (prism_cd, reference_prism, 1),
+    (diamond_cd, reference_diamond, 2),
+    (dual_cd, reference_dual, 0),
+]
+
+
+def test_recursions_match_the_monomial_derivations():
+    # seeded integer cd-polynomials, sparse and dense, of degrees 0-12
+    rng = random.Random(1998)
+    for d in range(13):
+        for density in (0.2, 1.0):
+            v = tuple(
+                rng.randint(-(10**6), 10**6) if rng.random() < density else 0
+                for _ in cd_monomials(d)
+            )
+            psi = monomial_map(v, d)
+            for fast, reference, step in REFERENCE_OPERATORS:
+                expected = coefficient_tuple(reference(psi), d + step)
+                assert fast(v, d) == expected, (fast.__name__, d)
+
+
+def test_letter_factors_match_the_reference_columns():
+    # M_d's columns from the recursions factor step for step as the
+    # reference's do: the pyramids of the degree-(d-1) monomials, then the
+    # diamonds of the degree-(d-2) monomials, each row keyed by column
+    for d in range(2, 15):
+        images = [reference_pyramid({m: 1}) for m in cd_monomials(d - 1)]
+        images += [reference_diamond({m: 1}) for m in cd_monomials(d - 2)]
+        index = {m: i for i, m in enumerate(cd_monomials(d))}
+        rows = [{} for _ in images]
+        for j, image in enumerate(images):
+            for m, k in image.items():
+                rows[index[m]][j] = k
+        assert _letter_factor(d) == _unit_lu(rows), d
 
 
 def test_word_cd_matches_word_flags():
@@ -439,16 +534,21 @@ def split_or_refuse(split, f):
 def test_letter_weights_match_the_ab_index_route(case, data):
     psi, d = case
     f = cd_index_flag(psi, d)
-    assert list(f.values) == ab_route_flag(psi, d)
-    nonzero = {m: k for m, k in psi.items() if k}
-    assert cd_index(f) == ab_route_index(f) == nonzero
+    nonzero = monomial_map(psi, d)
+    assert list(f.values) == ab_route_flag(nonzero, d)
+    assert monomial_map(cd_index(f), d) == ab_route_index(f) == nonzero
+    assert cd_index(f) == psi
     # one entry off by one: the same cd-index, or both refuse
     values = list(f.values)
     values[data.draw(st.integers(0, len(values) - 1))] += data.draw(
         st.sampled_from((-1, 1))
     )
     g = FlagVector.from_values(d, values)
-    assert split_or_refuse(cd_index, g) == split_or_refuse(ab_route_index, g)
+
+    def split(g):
+        return monomial_map(cd_index(g), d)
+
+    assert split_or_refuse(split, g) == split_or_refuse(ab_route_index, g)
 
 
 def test_peel_is_triangular_with_unit_pivots():

@@ -14,7 +14,7 @@ from polyhvec import (
     prism_flag,
     pyramid_flag,
 )
-from polyhvec.cli import flag_chunks, flag_heads
+from polyhvec.cli import flag_heads, flag_rows
 from polyhvec.flagvec import sets_by_mask
 
 SEGMENT = pyramid_flag(point_flag())
@@ -252,9 +252,9 @@ def test_mapping_and_value_constructors_agree(drawn, data):
     # the writers' order: `dim_subsets`, one set size at a time, each set's
     # head beside its own value
     levels = [[S for S in dim_subsets(d) if len(S) == r] for r in range(max(d, 0) + 1)]
-    written = flag_chunks(dense, flag_heads(d, "<", ">"), ";")
+    written = flag_rows(dense, *flag_heads(d, "<", ">"), ";")
     rows = [[f"<{','.join(map(str, S))}>{dense.get(S)}" for S in L] for L in levels]
-    assert list(written) == list(map(";".join, rows))
+    assert written == ";".join(map(";".join, rows))
     assert hash(built) == hash(dense)
     assert repr(built) == repr(dense)
     # unsorted and repeated elements too, and -1 and d anywhere
