@@ -9,7 +9,8 @@ The package computes, in exact integer arithmetic:
   link flag vectors;
 * the linear pyramid/prism/diamond/duality operators on cd-indices and,
   as their oracle, on flag vectors;
-* the CD-word basis and the exact change of basis both ways;
+* the CD-word basis and the exact change of basis both ways, with
+  CD-coordinates as the tuple of word coefficients in `cd_words` order;
 * the complete keyed h-vector (palindromic, with key symbols) and the
   classical toric h-vector, with the face-link sum as an independent
   second route.
@@ -26,7 +27,7 @@ _EXPORTS = {
     "flagvec": "FlagVector dim_subsets empty_flag point_flag product_flag",
     "hpoly": "EMPTY_KEY HPoly Key KeyedPoly angle palindromic_decompose x_minus_y_power",
     "lattice": "eval_flag expr_dim expr_str parse_expr",
-    "cdwords": "CDVector cd_words word_degree word_vector",
+    "cdwords": "cd_words word_degree word_vector",
     "hvector": "cd_from_h coordinate_basis flag_from_h g_of_cdvector g_of_word "
     "h_coordinates h_of_cdvector h_of_word toric_h_of_word toric_of_cdvector "
     "word_coordinate",

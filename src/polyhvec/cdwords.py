@@ -24,7 +24,11 @@ and `cd_index_flag` expands by that recursion.  A degree-d cd-polynomial
 is the tuple of its coefficients in `cd_monomials` order, where the
 monomials that start with c come first: a degree-d tuple is cX then dY,
 split by one slice at len(cd_words(d - 1)).  The operators, the
-expansion, the split and the solve all run on it.
+expansion, the split and the solve all run on it.  CD-coordinates take
+the same form in the same order, read in upper case: the tuple of word
+coefficients in `cd_words(d)` order, with the degree passed beside it.
+`word_vector` gives a word's unit tuple, and `combine` extends a value on
+words linearly to a tuple; each refuses a tuple of the wrong length.
 
 * Operators (`pyramid_cd`, `prism_cd`, `diamond_cd`, `dual_cd`): the
   derivations of Ehrenborg and Readdy (J. Algebraic Combin. 8, 1998),
@@ -92,7 +96,7 @@ def check_basis_degree(d: int):
 
 
 def check_word(w: str):
-    if any(ch not in "CD" for ch in w):
+    if w.strip("CD"):  # a letter other than C and D
         raise ValueError(f"not a CD-word: {w!r}")
 
 
@@ -114,65 +118,22 @@ def cd_words(degree: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-class CDVector:
-    """An exact linear combination of equal-degree CD-words."""
+def word_vector(w: str) -> tuple:
+    """The CD-coordinates of a word: its unit tuple in `cd_words` order."""
+    words = cd_words(word_degree(w))
+    x = [0] * len(words)
+    x[words.index(w)] = 1
+    return tuple(x)
 
-    __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree: int, coeffs=()):
-        clean = {}
-        for w, c in dict(coeffs).items():
-            if word_degree(w) != degree:
-                raise ValueError(f"word {w!r} has degree {word_degree(w)}, not {degree}")
-            if c:
-                clean[w] = c
-        self.degree = degree
-        self.coeffs = clean
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def get(self, w: str):
-        return self.coeffs.get(w, 0)
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        acc = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            acc[w] = acc.get(w, 0) + c
-        return CDVector(self.degree, acc)
-
-    def scaled(self, c) -> "CDVector":
-        return CDVector(self.degree, {w: c * v for w, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def combine(self, value_of, zero):
-        """Linear extension: `zero` plus value_of(w).scaled(c) per term c w."""
-        for w, c in self.coeffs.items():
+def combine(x, d: int, value_of, zero):
+    """Linear extension from words: `zero` plus value_of(w).scaled(c) for each
+    coefficient c of the degree-d CD-coordinates x, in `cd_words(d)` order."""
+    _check_length(x, d)
+    for w, c in zip(cd_words(d), x):
+        if c:
             zero = zero + value_of(w).scaled(c)
-        return zero
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CDVector)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        if not self.coeffs:
-            return f"CDVector({self.degree}, 0)"
-        body = " + ".join(
-            (f"{c}*" if c != 1 else "") + (w if w else "pt") for w, c in self.items()
-        )
-        return f"CDVector({self.degree}, {body})"
-
-
-def word_vector(w: str) -> CDVector:
-    return CDVector(word_degree(w), {w: 1})
+    return zero
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +293,6 @@ def _lu_solve(steps: tuple, v: list[int]) -> list[int]:
     return v
 
 
-def _units(n: int):
-    """The degree-n monomials as coefficient tuples, in `cd_monomials` order."""
-    size = len(cd_words(n))
-    return ((0,) * j + (1,) + (0,) * (size - j - 1) for j in range(size))
-
-
 @lru_cache(maxsize=None)
 def _letter_factor(d: int) -> tuple:
     """The unit-pivot factors of M_d, for d >= 2.
@@ -347,8 +302,8 @@ def _letter_factor(d: int) -> tuple:
     pyramid(alpha) + diamond(beta).  Column j pivots on row j of
     `cd_monomials(d)`: the pyramid of m on row cm, the diamond of m on dm.
     """
-    images = [pyramid_cd(u, d - 1) for u in _units(d - 1)]
-    images += [diamond_cd(u, d - 2) for u in _units(d - 2)]
+    images = [pyramid_cd(word_vector(w), d - 1) for w in cd_words(d - 1)]
+    images += [diamond_cd(word_vector(w), d - 2) for w in cd_words(d - 2)]
     rows = [{} for _ in images]
     for j, image in enumerate(images):
         for i, k in enumerate(image):
@@ -370,9 +325,8 @@ def _coordinates(v: list[int], d: int) -> list[int]:
     return _coordinates(v[:n], d - 1) + _coordinates(v[n:], d - 2)
 
 
-def cd_coordinates(psi, d: int) -> CDVector:
+def cd_coordinates(psi, d: int) -> tuple:
     """CD-coordinates of a degree-d cd-polynomial, solved one letter at a time."""
     check_basis_degree(d)
     _check_length(psi, d)
-    x = _coordinates(list(psi), d)
-    return CDVector(d, dict(zip(cd_words(d), x)))
+    return tuple(_coordinates(list(psi), d))

@@ -15,19 +15,14 @@ cap or change-of-basis degree limit exceeded, 4 input outside the CD span
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from itertools import combinations
 from operator import add
 
-from .cdwords import (
-    cd_coordinates,
-    cd_index_flag,
-    cd_words,
-    check_basis_degree,
-    word_cd,
-    word_vector,
-)
+from .cdwords import cd_coordinates, cd_index_flag, cd_words, check_basis_degree
+from .cdwords import word_cd
 from .errors import ExprParseError, FaceCountLimitError, NotInCDSpanError
 from .flagvec import dim_subsets
 
@@ -59,16 +54,14 @@ def flag_rows(flag, heads, order, sep: str) -> str:
     return sep.join(map(add, heads, map(str, map(flag.values.__getitem__, order))))
 
 
-def json_record(input_str: str, flag, cd, heads=None) -> str:
-    """The JSON record of one input; `heads` are its flag's `flag_heads`, if kept."""
-    from .hvector import h_of_cdvector, toric_of_cdvector  # only h-values load it
-
+def json_record(input_str: str, flag, h, toric, heads=None) -> str:
+    """The JSON record of one input, with its h-value and toric h-vector;
+    `heads` are its flag's `flag_heads`, if kept."""
     rows = flag_rows(flag, *(heads or flag_heads(flag.dim, *JSON_HEAD)), "],")
-    h = _dump([[str(key), list(p.coeffs)] for key, p in h_of_cdvector(cd).items()])
-    toric = _dump(list(toric_of_cdvector(cd).coeffs))
+    terms = _dump([[str(key), list(p.coeffs)] for key, p in h.items()])
     return (
         f'{{"input":{_dump(input_str)},"dim":{flag.dim},"flag":[{rows}]],'
-        f'"h":{h},"toric":{toric}}}'
+        f'"h":{terms},"toric":{_dump(list(toric.coeffs))}}}'
     )
 
 
@@ -101,16 +94,17 @@ def cmd_single(args) -> int:
     psi = eval_cd(expr)
     cd = cd_coordinates(psi, d)
     if args.format == "json":
-        out.write(json_record(args.input, cd_index_flag(psi, d), cd) + "\n")
+        h, toric = h_of_cdvector(cd, d), toric_of_cdvector(cd, d)
+        out.write(json_record(args.input, cd_index_flag(psi, d), h, toric) + "\n")
     elif args.command == "hvec":
-        out.write(f"{h_of_cdvector(cd)}\n")
+        out.write(f"{h_of_cdvector(cd, d)}\n")
     else:
-        out.write(f"{toric_of_cdvector(cd).bracket()}\n")
+        out.write(f"{toric_of_cdvector(cd, d).bracket()}\n")
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    from .hvector import h_of_cdvector, toric_of_cdvector
+    from .hvector import h_of_word, toric_h_of_word
 
     out = sys.stdout
     head = JSON_HEAD if args.format == "json" else TEXT_HEAD
@@ -119,14 +113,14 @@ def cmd_table(args) -> int:
         for w in cd_words(degree):
             name = f"{w}(pt)" if w else "pt"
             flag = cd_index_flag(word_cd(w), degree)
-            cd = word_vector(w)
+            h, toric = h_of_word(w), toric_h_of_word(w)
             if head is JSON_HEAD:
-                out.write(json_record(name, flag, cd, heads) + "\n")
+                out.write(json_record(name, flag, h, toric, heads) + "\n")
                 continue
             rows = flag_rows(flag, *heads, "  ")
             out.write(
-                f"input: {name}\ndim: {degree}\nflag: {rows}\nh: {h_of_cdvector(cd)}\n"
-                f"toric: {toric_of_cdvector(cd).bracket()}\n\n"
+                f"input: {name}\ndim: {degree}\nflag: {rows}\nh: {h}\n"
+                f"toric: {toric.bracket()}\n\n"
             )
     return EXIT_OK
 
@@ -222,6 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        # unbuffered (-u): the raw file drops what a closed pipe cuts short,
+        # where a buffered writer raises BrokenPipeError
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(out.buffer), out.encoding, out.errors, line_buffering=True
+        )
     try:
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

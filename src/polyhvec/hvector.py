@@ -17,7 +17,8 @@ recursion g(Dv) = xy g(v)) gives the classical toric h-vector, which
 this module also implements independently as a cross-check.
 
 Values extend to arbitrary polytopes linearly through CD-coordinates of
-the flag vector (the face-sum route, h of a chain-counted lattice and
+the flag vector, the tuple of word coefficients in `cd_words` order
+(`cdwords.combine`; the face-sum route, h of a chain-counted lattice and
 `h_matrix`, the oracles, are in `oracle`), and the flag vector can be
 recovered exactly, in every dimension, by a peel.  A word reads
 D^i C^j B_1 ... B_r with blocks B_k = C D^(a_k+1) C^(b_k);
@@ -46,14 +47,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cdwords import (
-    CDVector,
-    cd_index_flag,
-    cd_words,
-    check_basis_degree,
-    check_word,
-    word_cd,
-)
+from .cdwords import cd_index_flag, cd_words, check_basis_degree, check_word, combine
+from .cdwords import word_cd
 from .errors import NotPalindromicError
 from .flagvec import FlagVector
 from .hpoly import (
@@ -135,16 +130,16 @@ def toric_g_of_word(w: str) -> HPoly:
     return toric_g_of_word(rest) * (Y if w[0] == "C" else XY)
 
 
-def h_of_cdvector(v: CDVector) -> KeyedPoly:
-    return v.combine(h_of_word, KeyedPoly(v.degree, {}))
+def h_of_cdvector(x, d: int) -> KeyedPoly:
+    return combine(x, d, h_of_word, KeyedPoly(d, {}))
 
 
-def g_of_cdvector(v: CDVector) -> KeyedPoly:
-    return v.combine(g_of_word, KeyedPoly(v.degree + 1, {}))
+def g_of_cdvector(x, d: int) -> KeyedPoly:
+    return combine(x, d, g_of_word, KeyedPoly(d + 1, {}))
 
 
-def toric_of_cdvector(v: CDVector) -> HPoly:
-    return v.combine(toric_h_of_word, zero_poly(v.degree))
+def toric_of_cdvector(x, d: int) -> HPoly:
+    return combine(x, d, toric_h_of_word, zero_poly(d))
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +187,17 @@ def h_coordinates(kp: KeyedPoly) -> list:
 
 
 @lru_cache(maxsize=None)
-def _peel_order(d: int) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
-    """The degree-d words by descending key rank, (degree, length), each with
-    the index of its own coordinate and its h-row."""
+def _peel_order(d: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The degree-d words' indices by descending key rank, (degree, length),
+    each with the index of the word's own coordinate and its h-row."""
     at = {c: n for n, c in enumerate(coordinate_basis(d))}
-    coords = [(word_coordinate(w), w) for w in cd_words(d)]
+    coords = [(word_coordinate(w), j, w) for j, w in enumerate(cd_words(d))]
     coords.sort(key=lambda x: (x[0][2].degree, len(x[0][2].ds)), reverse=True)
-    return tuple((w, at[c], tuple(h_coordinates(h_of_word(w)))) for c, w in coords)
+    return tuple((j, at[c], tuple(h_coordinates(h_of_word(w)))) for c, j, w in coords)
 
 
-def cd_from_h(kp: KeyedPoly) -> CDVector:
-    """Exact CD-coordinates of an h-value, peeled word by word.
+def cd_from_h(kp: KeyedPoly) -> tuple:
+    """Exact CD-coordinates of an h-value, in `cd_words` order, peeled word by word.
 
     Words go by descending key rank; each one's coefficient is the value
     left at its own coordinate, and its h-row is subtracted.
@@ -211,16 +206,15 @@ def cd_from_h(kp: KeyedPoly) -> CDVector:
         raise ValueError("flag recovery needs dimension >= 0")
     check_basis_degree(kp.dim)  # before the peel, which an over-cap value pays for
     rest = h_coordinates(kp)  # rejects non-palindromic and ill-keyed input
-    coeffs = {}
-    for w, at, row in _peel_order(kp.dim):
-        c = rest[at]
+    x = [0] * len(rest)
+    for j, at, row in _peel_order(kp.dim):
+        c = x[j] = rest[at]
         if c:
-            coeffs[w] = c
             for n, v in enumerate(row):
                 rest[n] -= c * v
     if any(rest):  # only if the rows were not triangular in this order
         raise ValueError(f"the peel of a dim-{kp.dim} h-value left a remainder")
-    return CDVector(kp.dim, coeffs)
+    return tuple(x)
 
 
 def flag_from_h(kp: KeyedPoly) -> FlagVector:
@@ -229,6 +223,7 @@ def flag_from_h(kp: KeyedPoly) -> FlagVector:
     The peeled CD-coordinates' word cd-indices, summed and expanded.
     """
     psi = [0] * len(cd_words(kp.dim))
-    for w, c in cd_from_h(kp).coeffs.items():
-        psi = [p + c * k for p, k in zip(psi, word_cd(w))]
+    for w, c in zip(cd_words(kp.dim), cd_from_h(kp)):
+        if c:
+            psi = [p + c * k for p, k in zip(psi, word_cd(w))]
     return cd_index_flag(psi, kp.dim)

@@ -9,15 +9,16 @@ When it loads, the table at its end (`_TRACED`) binds the tracer's 13
 names onto the fast-path modules they left, with no second copy.
 The flag operators run on `flagvec`'s bitmask tuples, each cut of a
 chain splice a few list-slice additions (see `pyramid_flag`); word flags
-fold them over CD-words, and `CDVector.combine` extends those linearly
-(`cd_flag`), as it does the prism's expansion (`expand_I`).  A face
-lattice numbers its faces level by level, from the empty face (0) to
-the body (the last), holds one relation, `covers_up`, checked in full
-when it is built, and never changes; `_LATTICE_STEPS` holds the lattice
-of each step of `lattice._NODES` but D.  One chain DP per lattice,
-cached on it, gives every face's link flag vector packed in one int,
-fixed-width fields that never carry; `interval_lattice`, which rebuilds
-a link as a lattice, is its oracle.
+fold them over CD-words, and `cdwords.combine` extends those linearly to
+CD-coordinates (`cd_flag`); the prism's expansion (`expand_I`) maps them
+to those of one degree more.  A face lattice numbers its faces level by
+level, from the empty face (0) to the body (the last), holds one
+relation, `covers_up`, checked in full when it is built, and never
+changes; `_LATTICE_STEPS` holds the lattice of each step of
+`lattice._NODES` but D.  One chain DP per lattice, cached on it, gives
+every face's link flag vector packed in one int, fixed-width fields that
+never carry; `interval_lattice`, which rebuilds a link as a lattice, is
+its oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from itertools import accumulate, groupby, product
 from operator import add
 
 from . import cdwords, flagvec, hvector, lattice
-from .cdwords import CDVector, cd_coordinates, cd_index, cd_words, check_word
+from .cdwords import _check_length, cd_coordinates, cd_index, cd_words, check_word
+from .cdwords import combine
 from .flagvec import FlagVector, dim_subsets, point_flag
 from .hpoly import EMPTY_KEY, HPoly, KeyedPoly, monomial, x_minus_y_power, zero_poly
 from .hvector import g_of_cdvector, h_coordinates, h_of_cdvector, h_of_word
@@ -152,15 +154,19 @@ def _expand_I_word(w: str) -> tuple[tuple[str, int], ...]:
     return tuple(("D" + u, c) for u, c in _expand_I_word(w[1:]))
 
 
-def expand_I(v: CDVector) -> CDVector:
-    """The CD-expansion of the prism operator applied to v; degree rises by one."""
-    d = v.degree + 1
-    return v.combine(lambda w: CDVector(d, dict(_expand_I_word(w))), CDVector(d))
+def expand_I(x, d: int) -> tuple:
+    """CD-coordinates of the prism over the degree-d CD-coordinates x."""
+    _check_length(x, d)
+    out = dict.fromkeys(cd_words(d + 1), 0)
+    for w, c in zip(cd_words(d), x):
+        for u, k in _expand_I_word(w):
+            out[u] += c * k
+    return tuple(out.values())
 
 
-def cd_flag(v: CDVector) -> FlagVector:
-    """Flag vector of a CD combination."""
-    return v.combine(word_flag, FlagVector(v.degree, {}))
+def cd_flag(x, d: int) -> FlagVector:
+    """Flag vector of the degree-d CD-coordinates x."""
+    return combine(x, d, word_flag, FlagVector(d, {}))
 
 
 def basis_matrix(d: int) -> list[list[int]]:
@@ -168,8 +174,8 @@ def basis_matrix(d: int) -> list[list[int]]:
     return [[word_flag(w).get(S) for S in dim_subsets(d)] for w in cd_words(d)]
 
 
-def to_cd_basis(f: FlagVector) -> CDVector:
-    """Exact CD-coordinates of a flag vector; error when none exist."""
+def to_cd_basis(f: FlagVector) -> tuple:
+    """Exact CD-coordinates of a flag vector, of degree f.dim; error when none exist."""
     return cd_coordinates(cd_index(f), f.dim)
 
 
@@ -495,7 +501,7 @@ def sample_expressions(max_dim: int) -> list[Expr]:
 
 
 def h_of_flag(f: FlagVector) -> KeyedPoly:
-    return h_of_cdvector(to_cd_basis(f))
+    return h_of_cdvector(to_cd_basis(f), f.dim)
 
 
 def h_of_polytope(e: Expr) -> KeyedPoly:
@@ -504,7 +510,8 @@ def h_of_polytope(e: Expr) -> KeyedPoly:
 
 
 def toric_of_polytope(e: Expr) -> HPoly:
-    return toric_of_cdvector(to_cd_basis(flag_of_lattice(e)))
+    f = flag_of_lattice(e)
+    return toric_of_cdvector(to_cd_basis(f), f.dim)
 
 
 def h_via_links(e: Expr) -> KeyedPoly:
@@ -520,7 +527,7 @@ def h_via_links(e: Expr) -> KeyedPoly:
     total = KeyedPoly(L.dim, {EMPTY_KEY: x_minus_y_power(L.dim)})
     links = Counter(link_flag(L, face) for face in range(1, len(L) - 1))
     for f, n in links.items():  # a link of dim k is a face's of dim d - k - 1
-        g = g_of_cdvector(to_cd_basis(f)).scaled(n)
+        g = g_of_cdvector(to_cd_basis(f), f.dim).scaled(n)
         total = total + g.mul_poly(x_minus_y_power(L.dim - f.dim - 1))
     return total
 

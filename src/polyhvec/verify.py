@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .cdwords import cd_words, word_vector
+from .cdwords import cd_words, word_degree, word_vector
 from .flagvec import product_flag
 from .hpoly import EMPTY_KEY, HPoly, Key, KeyedPoly, ONE, X, angle
 from .hvector import flag_from_h, g_of_word, h_of_cdvector, h_of_word, toric_h_of_word
@@ -163,10 +163,11 @@ def check_commutation(max_dim: int):
 def check_prism_laws(max_dim: int):
     xy_sum = HPoly([1, 1])
     for w in _words_up_to(max_dim):
-        expansion = expand_I(word_vector(w))
-        if prism_flag(word_flag(w)) != cd_flag(expansion):
+        n = word_degree(w)
+        expansion = expand_I(word_vector(w), n)
+        if prism_flag(word_flag(w)) != cd_flag(expansion, n + 1):
             return f"flag expansion of I({w or 'pt'})"
-        if h_of_cdvector(expansion) != h_of_word(w).mul_poly(xy_sum):
+        if h_of_cdvector(expansion, n + 1) != h_of_word(w).mul_poly(xy_sum):
             return f"h(I({w or 'pt'})) != (x+y) h({w or 'pt'})"
         if g_of_word(w) != h_of_word("C" + w) - h_of_word(w).mul_poly(X):
             return f"g({w or 'pt'}) != h(C{w}) - x h({w})"

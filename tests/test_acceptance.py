@@ -147,11 +147,11 @@ def test_criterion_04_operator_identities_degree_8():
         if d_flag(prism_flag(v)) != prism_flag(d_flag(v)):
             bad = f"DI != ID at {w or 'pt'}"
             break
-        expansion = expand_I(word_vector(w))
-        if cd_flag(expansion) != prism_flag(v):
+        expansion = expand_I(word_vector(w), v.dim)
+        if cd_flag(expansion, v.dim + 1) != prism_flag(v):
             bad = f"prism expansion at {w or 'pt'}"
             break
-        if h_of_cdvector(expansion) != h_of_word(w).mul_poly(xy_sum):
+        if h_of_cdvector(expansion, v.dim + 1) != h_of_word(w).mul_poly(xy_sum):
             bad = f"(x+y) law at {w or 'pt'}"
             break
         if g_of_word(w) != h_of_word("C" + w) - h_of_word(w).mul_poly(X):

@@ -4,13 +4,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyhvec import (
-    CDVector,
     FaceCountLimitError,
     FlagVector,
     NotInCDSpanError,
@@ -37,6 +37,7 @@ from polyhvec.cdwords import (
     cd_index,
     cd_index_flag,
     cd_monomials,
+    combine,
     diamond_cd,
     dual_cd,
     prism_cd,
@@ -73,28 +74,31 @@ def test_word_flag_examples():
 
 
 def test_cdvector_normalisation_and_arithmetic():
-    v = CDVector(2, {"CC": 0, "D": 2})
-    assert v.coeffs == {"D": 2}
-    w = v + CDVector(2, {"D": -2, "CC": 1})
-    assert w == word_vector("CC")
+    # CD-coordinates are the coefficient tuple in `cd_words` order, zeros kept
+    assert cd_words(2) == ("CC", "D") and word_vector("D") == (0, 1)
+    v = (0, 2)
+    assert tuple(map(add, v, (1, -2))) == word_vector("CC") == (1, 0)
+    # a word or a tuple of another degree is refused
     with pytest.raises(ValueError):
-        CDVector(2, {"C": 1})
+        word_vector("CX")
     with pytest.raises(ValueError):
-        v + CDVector(3, {"CCC": 1})
+        combine(v, 3, word_flag, FlagVector(3, {}))
 
 
 def test_expand_I_examples():
-    assert expand_I(word_vector("C")) == CDVector(2, {"CC": 1, "D": 1})
-    assert expand_I(word_vector("")) == word_vector("C")
-    # the 3-cube: prism twice over a segment
-    assert expand_I(expand_I(word_vector("C"))) == CDVector(3, {"CCC": 1, "DC": 2})
-    assert expand_I(word_vector("CC")) == CDVector(3, {"CCC": 1, "DC": 1})
+    assert expand_I(word_vector("C"), 1) == (1, 1)  # CC + D
+    assert expand_I(word_vector(""), 0) == word_vector("C")
+    # the 3-cube: prism twice over a segment, CCC + 2 DC
+    assert cd_words(3) == ("CCC", "CD", "DC")
+    assert expand_I(expand_I(word_vector("C"), 1), 2) == (1, 0, 2)
+    assert expand_I(word_vector("CC"), 2) == (1, 0, 1)
 
 
 def test_expand_I_matches_prism_operator():
     for d in range(6):
         for w in cd_words(d):
-            assert cd_flag(expand_I(word_vector(w))) == prism_flag(word_flag(w))
+            prism = expand_I(word_vector(w), d)
+            assert cd_flag(prism, d + 1) == prism_flag(word_flag(w))
 
 
 def test_basis_matrix_shapes_and_ranks():
@@ -109,7 +113,7 @@ def test_basis_matrix_shapes_and_ranks():
 
 def test_to_cd_basis_square():
     square = chain_count_flag(build_lattice(parse_expr("I(C(pt))")))
-    assert to_cd_basis(square) == CDVector(2, {"CC": 1, "D": 1})
+    assert to_cd_basis(square) == (1, 1)  # CC + D
 
 
 def test_to_cd_basis_round_trip():
@@ -121,8 +125,8 @@ def test_to_cd_basis_round_trip():
 def test_to_cd_basis_bipyramid_solves():
     f = chain_count_flag(build_lattice(Bipyr(Simplex(3))))
     v = to_cd_basis(f)
-    assert cd_flag(v) == f
-    assert all(isinstance(c, int) for c in v.coeffs.values())
+    assert cd_flag(v, f.dim) == f
+    assert all(isinstance(c, int) for c in v)
 
 
 def test_to_cd_basis_rejects_vectors_outside_span():
@@ -328,7 +332,7 @@ def cd_polynomials(draw, max_degree=10):
 def test_cd_coordinates_match_a_dense_solve(case):
     psi, d = case
     x = basis_oracle(d).solve(list(psi))
-    assert cd_coordinates(psi, d) == CDVector(d, dict(zip(cd_words(d), x)))
+    assert cd_coordinates(psi, d) == tuple(x)
 
 
 def test_solve_and_split_invert_each_word_at_degrees_11_and_12():
@@ -343,12 +347,15 @@ def test_solve_and_split_invert_each_word_at_degrees_11_and_12():
 
 def test_cd_coordinates_refuse_stray_monomials():
     # a degree-2 tuple holds the coefficients of cc and d, in that order
-    assert cd_coordinates((1, 0), 2) == word_vector("CC") - word_vector("D")
+    assert cd_coordinates((1, 0), 2) == (1, -1)  # CC - D
+    # every value on a degree-2 tuple refuses one of another length
+    values = [cd_coordinates, cd_index_flag, expand_I, cd_flag]
+    values += [h_of_cdvector, g_of_cdvector, toric_of_cdvector]
+    values.append(lambda x, d: combine(x, d, word_flag, FlagVector(d, {})))
     for psi in ((1, 0, 5), (1,), (), (1, 0, 0, 3)):
-        with pytest.raises(ValueError):
-            cd_coordinates(psi, 2)
-        with pytest.raises(ValueError):
-            cd_index_flag(psi, 2)
+        for value in values:
+            with pytest.raises(ValueError):
+                value(psi, 2)
     # the expansion and the split refuse what is no degree-d cd-polynomial
     for psi, d in (((1, 0), 1), ((), -1), ((1,), -1)):
         with pytest.raises(ValueError):
@@ -357,6 +364,15 @@ def test_cd_coordinates_refuse_stray_monomials():
         cd_index(empty_flag())
     with pytest.raises(FaceCountLimitError):
         cd_coordinates((), MAX_BASIS_DEGREE + 1)
+
+
+def test_cd_index_and_cd_coordinates_share_one_order():
+    # the i-th coefficient of a cd-index and of CD-coordinates name one word
+    for d in range(15):
+        words = cd_words(d)
+        for i, w in enumerate(words):
+            assert cd_monomials(d)[i] == w.lower()
+            assert word_vector(w) == tuple(int(j == i) for j in range(len(words)))
 
 
 def test_word_cd_examples():
@@ -588,24 +604,33 @@ def cd_vectors(draw, d=None):
         d = draw(st.integers(0, 7))
     n = len(cd_words(d))
     coeffs = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
-    return CDVector(d, dict(zip(cd_words(d), coeffs)))
+    return tuple(coeffs), d
+
+
+def linear(a, u, b, v):
+    """a u + b v, for tuples or for values with `scaled` and `+`."""
+    if isinstance(u, tuple):
+        return tuple(a * p + b * q for p, q in zip(u, v))
+    return u.scaled(a) + v.scaled(b)
 
 
 @settings(max_examples=60, deadline=None)
 @given(cd_vectors())
-def test_change_of_basis_round_trips(v):
-    f = cd_flag(v)
+def test_change_of_basis_round_trips(case):
+    v, d = case
+    f = cd_flag(v, d)
     assert to_cd_basis(f) == v
-    assert flag_from_h(h_of_cdvector(v)) == f
+    assert flag_from_h(h_of_cdvector(v, d)) == f
 
 
 @settings(max_examples=60, deadline=None)
 @given(cd_vectors(), st.data(), st.integers(-50, 50), st.integers(-50, 50))
-def test_change_of_basis_is_linear(u, data, a, b):
-    v = data.draw(cd_vectors(u.degree))
-    f = cd_flag(u).scaled(a) + cd_flag(v).scaled(b)
-    assert to_cd_basis(f) == u.scaled(a) + v.scaled(b)
+def test_change_of_basis_is_linear(case, data, a, b):
+    u, d = case
+    v, _ = data.draw(cd_vectors(d))
+    f = linear(a, cd_flag(u, d), b, cd_flag(v, d))
+    assert to_cd_basis(f) == linear(a, u, b, v)
     # every value extended from words is linear
     for value in (cd_flag, h_of_cdvector, g_of_cdvector, toric_of_cdvector, expand_I):
-        combo = value(u).scaled(a) + value(v).scaled(b)
-        assert value(u.scaled(a) + v.scaled(b)) == combo, value.__name__
+        combo = linear(a, value(u, d), b, value(v, d))
+        assert value(linear(a, u, b, v), d) == combo, value.__name__

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from helpers import validate_record
 from polyhvec import cdwords, cli, lattice, oracle, verify
-from polyhvec.cdwords import word_vector
 from polyhvec.errors import ExprParseError
 from polyhvec.flagvec import FlagVector, dim_subsets, empty_flag, point_flag
-from polyhvec.hvector import h_of_cdvector, toric_of_cdvector
+from polyhvec.hvector import h_of_word, toric_h_of_word
 from polyhvec.lattice import expr_str, face_count_bound, parse_expr
 from polyhvec.oracle import word_flag
 from test_lattice import EDITS, any_expression, apply_edits
@@ -577,14 +576,14 @@ def spec_rows(flag):
     return [(S, flag.get(S)) for S in dim_subsets(flag.dim)]
 
 
-def spec_record(input_str, flag, cd):
+def spec_record(input_str, flag, h, toric):
     """The JSON record, encoded as one dict through `json.dumps`."""
     record = {
         "input": input_str,
         "dim": flag.dim,
         "flag": [[list(S), v] for S, v in spec_rows(flag)],
-        "h": [[str(key), list(p.coeffs)] for key, p in h_of_cdvector(cd).items()],
-        "toric": list(toric_of_cdvector(cd).coeffs),
+        "h": [[str(key), list(p.coeffs)] for key, p in h.items()],
+        "toric": list(toric.coeffs),
     }
     return json.dumps(record, separators=(",", ":"))
 
@@ -609,13 +608,13 @@ def wide_flags(draw):
 @example(point_flag(), "pt", "")
 @example(FlagVector.from_values(12, [2**64 + 1, -(2**70)] * 2048), "C^12", "DDDDDD")
 def test_flag_writers_match_the_dict_and_json_encoders(flag, text, w):
-    cd = word_vector(w)
-    spec = spec_record(text, flag, cd)
-    assert cli.json_record(text, flag, cd) == spec
+    h, toric = h_of_word(w), toric_h_of_word(w)
+    spec = spec_record(text, flag, h, toric)
+    assert cli.json_record(text, flag, h, toric) == spec
     json_heads = cli.flag_heads(flag.dim, *cli.JSON_HEAD)
     text_heads = cli.flag_heads(flag.dim, *cli.TEXT_HEAD)
     for _ in range(2):  # table keeps each degree's heads for all its words
-        assert cli.json_record(text, flag, cd, json_heads) == spec
+        assert cli.json_record(text, flag, h, toric, json_heads) == spec
         line = cli.flag_rows(flag, *text_heads, "  ")
         assert line == "  ".join(spec_text_rows(flag))
     # text flag through the command itself, which reads `eval_flag` from lattice
@@ -656,17 +655,30 @@ def test_verify_max_dim_8_passes_every_suite_in_order(capsys):
     assert out.splitlines() == [f"PASS {name}" for name, _ in SUITES]
 
 
-def test_closed_stdout_exits_quietly_with_the_pipe_code():
-    # about 1.5 MB of rows, more than a pipe buffer holds, so the writer
-    # meets the closed pipe mid-run, as under `| head -1`
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["flag", "simplex(16)"], b"{}: 1\n{0}:"),  # one write per set size
+        (["basis", "10", "--format", "json"], b'{"degree":'),  # one write
+        (["hvec", "simplex(12)", "--format", "json"], b'{"input":"'),  # one write
+    ],
+    ids=["flag", "basis-json", "hvec-json"],
+)
+def test_closed_stdout_exits_quietly_with_the_pipe_code(argv, head, unbuffered):
+    # 0.1 to 1.5 MB, more than a pipe buffer holds, so the writer meets the
+    # closed pipe mid-run, as under `| head -c 10`, also where the write
+    # that meets it is the last one, and also with no buffer (-u)
     root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env["PYTHONUNBUFFERED"] = unbuffered  # empty counts as unset
     with subprocess.Popen(
-        [sys.executable, "-m", "polyhvec", "flag", "simplex(16)"],
+        [sys.executable, "-m", "polyhvec", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        env=env,
     ) as proc:
-        assert proc.stdout.readline() == b"{}: 1\n"
+        assert proc.stdout.read(10) == head
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == cli.EXIT_PIPE == 141
